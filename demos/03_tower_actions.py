@@ -15,7 +15,6 @@ from extdecide import (
     Layer,
     TowerModel,
     build_ladder,
-    common_theta,
     enumerate_lifts,
     random_tower,
     stage_act,
@@ -37,14 +36,14 @@ ladder = build_ladder(tower, min_order=2)
 print(f"  per-layer operators: "
       f"{[(op.q, op.order, op.theta) for op in ladder.ops]}  (q, order, theta)")
 print(f"  cumulative scales Theta_i: {list(ladder.thetas)}, "
-      f"common Theta = {common_theta(ladder)}")
+      f"common Theta = {ladder.common_theta}")
 x = 5
 y = 1
-moved = stage_act(tower, ladder, 2, x, y, common_theta(ladder))
+moved = stage_act(tower, ladder, 2, x, y, ladder.common_theta)
 print(f"  acting on top-stage point {x} by ground element {y} at the common "
       f"scale gives {moved}")
 print(f"  the right zero fixes it: "
-      f"{stage_act(tower, ladder, 2, x, 0, common_theta(ladder)) == x}")
+      f"{stage_act(tower, ladder, 2, x, 0, ladder.common_theta) == x}")
 print()
 
 print("== The audit: exhaustive over every stage and pair ==")

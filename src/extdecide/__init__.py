@@ -32,7 +32,6 @@ from .tower import (
     Layer,
     TowerModel,
     build_ladder,
-    common_theta,
     enumerate_lifts,
     random_tower,
     stage_act,
@@ -61,7 +60,7 @@ __all__ = [
     "difference", "derive", "build_diff_operator", "evaluate_diagonal",
     "check_congruence", "random_algebra", "random_map",
     "Layer", "TowerModel", "ActionLadder", "LadderReport",
-    "build_ladder", "stage_act", "common_theta", "enumerate_lifts",
+    "build_ladder", "stage_act", "enumerate_lifts",
     "verify_ladder", "random_tower",
     "ExtensionInstance", "Verdict", "InstanceReport", "GenParams",
     "InvalidInstanceError", "OracleUnavailableError",

@@ -454,6 +454,8 @@ def solve(h: GroupHom, target: GroupElement):
     if target.group != h.target:
         raise GroupMismatchError("target element not in the hom's target group")
     s, t = h.source.rank, h.target.rank
+    if t == 0:
+        return h.source.zero()
     aug = [
         list(h.matrix[i]) + [h.target.orders[i] if k == i else 0 for k in range(t)]
         for i in range(t)

@@ -42,34 +42,25 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
 
-def _prime(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not isprime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
-    return value
+def _integer(accept, message: str):
+    """argparse type: an integer that passes accept, else message with
+    the value in place of {}."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+
+    return parse
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
-
-
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return value
+_prime = _integer(isprime, "{} is not prime")
+_positive = _integer(lambda v: v >= 1, "value must be >= 1")
+_non_negative = _integer(lambda v: v >= 0, "value must be >= 0")
 
 
 def _add_output_flags(parser):
@@ -155,13 +146,9 @@ def _read_json(path: Path):
         raise ff.FileFormatError(f"{path}: {exc}") from exc
 
 
-def _operator_summary(op) -> dict:
-    return ff.dump_operator(op)
-
-
 def cmd_diff_build(args, report):
     op = build_diff_operator(args.p, args.m, args.l0)
-    report["result"] = {"operator": _operator_summary(op)}
+    report["result"] = {"operator": ff.dump_operator(op)}
     if args.out:
         text = ff.canonical_json(ff.dump_operator(op))
         args.out.write_text(text)
@@ -204,7 +191,7 @@ def cmd_diff_check(args, report):
                  "residual": [int(c) for c in residual.coords]}
             )
     report["result"] = {
-        "operator": _operator_summary(op),
+        "operator": ff.dump_operator(op),
         "trials": args.trials,
         "violations": violations[:20],
         "violations_total": len(violations),

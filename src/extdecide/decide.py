@@ -120,21 +120,35 @@ def _generator_tables(ids, act):
     return [{g: act[g][j] for g in ids} for j in range(rank)]
 
 
-def _invert_permutation(table, ids):
-    inv = {}
-    for g in ids:
-        h = table[g]
-        if h in inv:
-            return None
-        inv[h] = g
-    if len(inv) != len(ids):
-        return None
-    return inv
+def _cycles(table, ids):
+    """Where each id sits on a cycle of the map table: id -> (cycle,
+    position in it).  Ids that never return to themselves are absent.
+
+    Each id is visited once, so the cost is O(|ids|) whatever the orders
+    of the ground group are.
+    """
+    where = {}
+    walk_of = {}
+    for start in ids:
+        path = []
+        g = start
+        while g not in walk_of:
+            walk_of[g] = start
+            path.append(g)
+            g = table[g]
+        if walk_of[g] == start:  # this walk closed a new cycle at g
+            cycle = path[path.index(g):]
+            for pos, h in enumerate(cycle):
+                where[h] = (cycle, pos)
+    return where
 
 
-def _act_by_element(tables, inverses, start, elem):
-    """Apply the generator tables coordinate-wise for a ground element.
+def _act_by_element(cycles, start, elem):
+    """Apply the generator actions coordinate-wise for a ground element.
 
+    cycles[j] is the _cycles map of generator j's table, which must be a
+    bijection on every coordinate where elem is non-zero; the coordinate
+    only indexes into the cycle, so the cost does not grow with it.
     Coordinates on infinite summands must be zero; their tables are
     placeholders the caller is expected to have screened out.
     """
@@ -146,17 +160,9 @@ def _act_by_element(tables, inverses, start, elem):
                     "cannot act along an infinite-order generator"
                 )
             continue
-        if n >= 0:
-            for _ in range(n):
-                g = tables[j][g]
-        else:
-            inv = inverses[j]
-            if inv is None:
-                raise InvalidInstanceError(
-                    f"generator {j} action is not invertible"
-                )
-            for _ in range(-n):
-                g = inv[g]
+        if n:
+            cycle, pos = cycles[j][g]
+            g = cycle[(pos + n) % len(cycle)]
     return g
 
 
@@ -235,19 +241,19 @@ def validate_instance(inst: ExtensionInstance) -> InstanceReport:
         ("a", inst.a_classes, inst.act_a, inst.proj_a, inst.ga),
     )
     side_tables = {}
-    side_inverses = {}
+    side_cycles = {}
     for side, ids, act, proj, group in sides:
         tables = _generator_tables(ids, act)
-        inverses = [_invert_permutation(tab, ids) for tab in tables]
+        cycles = side_cycles[side] = [None] * group.rank
         side_tables[side] = tables
-        side_inverses[side] = inverses
         for j in range(group.rank):
             order = group.orders[j]
             if order == 0:
                 continue  # placeholder table, see the class docstring
             tab = tables[j]
+            where = cycles[j] = _cycles(tab, ids)
             checks += 1
-            if inverses[j] is None:
+            if len(where) != len(ids):  # a bijection has no tails
                 violations.append(("not_bijective", side, j))
             gen = group.generator(j)
             shift = inst.theta * gen
@@ -257,10 +263,9 @@ def validate_instance(inst: ExtensionInstance) -> InstanceReport:
                     violations.append(("projection_naturality", side, j, g))
             for g in ids:
                 checks += 1
-                h = g
-                for _ in range(order):
-                    h = tab[h]
-                if h != g:
+                # g comes back after `order` steps iff its cycle length
+                # divides the order
+                if g not in where or order % len(where[g][0]):
                     violations.append(("generator_order", side, j, g))
             for jj in range(j + 1, group.rank):
                 if group.orders[jj] == 0:
@@ -286,8 +291,7 @@ def validate_instance(inst: ExtensionInstance) -> InstanceReport:
             for g in inst.x_classes:
                 checks += 1
                 expected = _act_by_element(
-                    side_tables["a"], side_inverses["a"],
-                    inst.restrict_class[g], image,
+                    side_cycles["a"], inst.restrict_class[g], image
                 )
                 if inst.restrict_class[side_tables["x"][j][g]] != expected:
                     violations.append(("restriction_naturality", j, g))
@@ -334,28 +338,22 @@ def _fibers_of_proj_x(inst):
     return fibers
 
 
-def _fast_precheck(inst):
-    if set(inst.proj_x) != set(inst.x_classes) or set(inst.restrict_class) != set(
-        inst.x_classes
-    ):
-        raise InvalidInstanceError("x-side tables are not total")
-    if inst.target_class not in set(inst.a_classes):
-        raise InvalidInstanceError("target class unknown")
-    if inst.proj_a.get(inst.target_class) != inst.target_ground:
-        raise InvalidInstanceError(
-            "distinguished class does not project to the ground target"
-        )
-
-
 def decide(inst: ExtensionInstance) -> Verdict:
     """YES iff the distinguished class is hit over some representative.
 
-    A cheap subset of the validity checks runs first and raises on
-    breach; run validate_instance for the full audit.  The scan order is
+    The structural checks and the target projection check of
+    validate_instance run first and raise on breach; run
+    validate_instance for the full audit.  The scan order is
     deterministic: representatives in generation order, identifiers in
     ascending order within each fiber, first hit wins.
     """
-    _fast_precheck(inst)
+    breach = _structural_violations(inst)
+    if breach:
+        raise InvalidInstanceError(f"malformed instance: {breach[0]}")
+    if inst.proj_a[inst.target_class] != inst.target_ground:
+        raise InvalidInstanceError(
+            "distinguished class does not project to the ground target"
+        )
     found = representative_set(inst)
     if found is None:
         return Verdict(answer="NO", rep_count=0)

@@ -38,6 +38,27 @@ __all__ = [
 ]
 
 
+def iterated_table(memo: dict, times: int):
+    """Table of x +_times y for the one-step table memo[1], by doubling.
+
+    memo maps iteration counts to their tables; every table built on the
+    way is stored in it, so calls that share a memo share the work.
+    """
+    if times < 1:
+        raise ValueError("iteration count must be positive")
+    if times in memo:
+        return memo[times]
+    if times % 2:
+        first, second = memo[1], iterated_table(memo, times - 1)
+    else:
+        first = second = iterated_table(memo, times // 2)
+    table = tuple(
+        tuple(second[v][y] for y, v in enumerate(row)) for row in first
+    )
+    memo[times] = table
+    return table
+
+
 class ActionAlgebra:
     """Finite operation table S x T -> S with a right-sided zero in T.
 
@@ -79,26 +100,7 @@ class ActionAlgebra:
 
     def iterated(self, times: int):
         """Table of x +_times y.  times >= 1."""
-        if times < 1:
-            raise ValueError("iteration count must be positive")
-        memo = self._iterates
-        if times in memo:
-            return memo[times]
-        if times % 2:
-            prev = self.iterated(times - 1)
-            base = self.op
-            table = tuple(
-                tuple(prev[base[x][y]][y] for y in range(self.t_size))
-                for x in range(self.s_size)
-            )
-        else:
-            half = self.iterated(times // 2)
-            table = tuple(
-                tuple(half[half[x][y]][y] for y in range(self.t_size))
-                for x in range(self.s_size)
-            )
-        memo[times] = table
-        return table
+        return iterated_table(self._iterates, times)
 
     def apply(self, x: int, y: int, times: int = 1) -> int:
         return self.iterated(times)[x][y]

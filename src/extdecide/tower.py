@@ -31,6 +31,7 @@ from .diffcalc import (
     GValuedMap,
     build_diff_operator,
     evaluate_diagonal,
+    iterated_table,
 )
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "LadderReport",
     "build_ladder",
     "stage_act",
-    "common_theta",
     "enumerate_lifts",
     "verify_ladder",
     "random_tower",
@@ -154,27 +154,6 @@ class TowerModel:
         return out
 
 
-def _compose(table_a, table_b):
-    """Pointwise in y: apply table_b, then table_a."""
-    return tuple(
-        tuple(table_a[table_b[x][y]][y] for y in range(len(row)))
-        for x, row in enumerate(table_b)
-    )
-
-
-def _table_power(table, times: int):
-    if times < 1:
-        raise ValueError("power must be positive")
-    result = None
-    square = table
-    while times:
-        if times & 1:
-            result = square if result is None else _compose(square, result)
-        square = _compose(square, square)
-        times >>= 1
-    return result
-
-
 @dataclass(frozen=True, eq=False)
 class ActionLadder:
     """Per-layer data of the lifted action.
@@ -203,8 +182,9 @@ class ActionLadder:
         """table[s][x][y] = one application of the stage-s action (at its
         own scale Theta_s).  Raises if a twist breaks fiber membership;
         use verify_ladder for a tolerant audit."""
-        tables = _build_step_tables(self.tower, self, violations=None)
-        return tables
+        return [
+            memo[1] for memo in _build_step_tables(self.tower, self, violations=None)
+        ]
 
 
 def _step_ratio(scale: int, base: int) -> int:
@@ -215,42 +195,56 @@ def _step_ratio(scale: int, base: int) -> int:
     return 1
 
 
+def _lift_stage(tower: TowerModel, stage: int, proj_step, twist, violations):
+    """One-step table of `stage` (at its own scale), given the one-step
+    table of the stage below raised to the layer's scale ratio.
+
+    An element (x, c) moves to (proj_step[x][y], c + twist[x][y]).  With
+    violations=None a twist that breaks fiber membership raises; with a
+    list, each breach is recorded and encoded tolerantly so an audit can
+    continue.
+    """
+    layer = tower.layers[stage - 1]
+    q, kappa = layer.q, layer.kappa
+    qq = q * q
+    rows = []
+    for idx in range(tower.size(stage)):
+        parent, t = divmod(idx, q)
+        c = kappa[parent] + q * t
+        proj_row, twist_row = proj_step[parent], twist[parent]
+        row = []
+        for y, parent2 in enumerate(proj_row):
+            off = (c + twist_row[y]) % qq - kappa[parent2]
+            if off % q:
+                if violations is None:
+                    raise ValueError(
+                        f"twist at stage {stage} breaks fiber membership "
+                        f"(x={parent}, y={y})"
+                    )
+                violations.append(("fiber", stage, idx, y))
+            row.append(parent2 * q + (off % qq) // q)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _build_step_tables(tower: TowerModel, ladder: ActionLadder, violations):
-    """Bottom-up one-step tables.  With violations=None an incompatible
-    twist raises; with a list, incompatibilities are recorded and encoded
-    tolerantly so the audit can continue."""
-    tables = [tower.add_table]
-    prev_theta = 1
-    n_ground = tower.size(0)
+    """Bottom-up one-step tables, re-derived from the twists alone.
+
+    Returns one power memo per stage, holding the stage's one-step table
+    under 1 and every power of it built so far, for iterated_table.
+    """
+    memos = [{1: tower.add_table}]
     for stage in range(1, tower.depth + 1):
-        layer = tower.layers[stage - 1]
-        q = layer.q
-        qq = q * q
-        theta_step = _step_ratio(ladder.thetas[stage - 1], prev_theta)
-        proj_step = _table_power(tables[stage - 1], theta_step)
-        twist = ladder.twists[stage - 1]
-        rows = []
-        for idx in range(tower.size(stage)):
-            parent, t = divmod(idx, q)
-            c = layer.kappa[parent] + q * t
-            row = []
-            for y in range(n_ground):
-                parent2 = proj_step[parent][y]
-                c2 = (c + twist[parent][y]) % qq
-                off = c2 - layer.kappa[parent2]
-                if off % q:
-                    if violations is None:
-                        raise ValueError(
-                            f"twist at stage {stage} breaks fiber membership "
-                            f"(x={parent}, y={y})"
-                        )
-                    violations.append(("fiber", stage, idx, y))
-                    off = off % qq
-                row.append(parent2 * q + (off % qq) // q)
-            rows.append(tuple(row))
-        tables.append(tuple(rows))
-        prev_theta = ladder.thetas[stage - 1]
-    return tables
+        ratio = _step_ratio(ladder.thetas[stage - 1], ladder.stage_theta(stage - 1))
+        step = _lift_stage(
+            tower,
+            stage,
+            iterated_table(memos[-1], ratio),
+            ladder.twists[stage - 1],
+            violations,
+        )
+        memos.append({1: step})
+    return memos
 
 
 def build_ladder(tower: TowerModel, min_order: int = 2) -> ActionLadder:
@@ -291,19 +285,9 @@ def build_ladder(tower: TowerModel, min_order: int = 2) -> ActionLadder:
         thetas.append(theta_total)
         twists.append(twist)
         # one-step table of the new stage, for the next layer's algebra
-        proj_step = _table_power(step, op.theta)
-        q, qq = layer.q, layer.q**2
-        rows = []
-        for idx in range(tower.size(stage)):
-            parent, t = divmod(idx, q)
-            c = layer.kappa[parent] + q * t
-            row = []
-            for y in range(n_ground):
-                parent2 = proj_step[parent][y]
-                c2 = (c + twist[parent][y]) % qq
-                row.append(tower.index_of_pair(stage, parent2, c2))
-            rows.append(tuple(row))
-        step = tuple(rows)
+        step = _lift_stage(
+            tower, stage, algebra.iterated(op.theta), twist, violations=None
+        )
         prev_theta = theta_total
     return ActionLadder(
         tower=tower, ops=tuple(ops), thetas=tuple(thetas), twists=tuple(twists)
@@ -332,11 +316,6 @@ def stage_act(
     for _ in range(at_theta // base):
         x = table[x][y]
     return x
-
-
-def common_theta(ladder: ActionLadder) -> int:
-    """The final cumulative scale; every stage scale divides it."""
-    return ladder.common_theta
 
 
 def enumerate_lifts(tower: TowerModel, labels, assignment, stage: int):
@@ -401,18 +380,18 @@ def verify_ladder(tower: TowerModel, ladder: ActionLadder) -> LadderReport:
             if twist[x][zero] != 0:
                 violations.append(("twist_at_zero", stage, x))
 
-    tables = _build_step_tables(tower, ladder, violations)
+    memos = _build_step_tables(tower, ladder, violations)
     checks += sum(
         tower.size(s) * tower.size(0) for s in range(1, tower.depth + 1)
     )
 
     at_common = [
-        _table_power(tables[s], _step_ratio(theta, ladder.stage_theta(s)))
+        iterated_table(memos[s], _step_ratio(theta, ladder.stage_theta(s)))
         for s in range(tower.depth + 1)
     ]
 
     for stage in range(tower.depth + 1):
-        one = tables[stage]
+        one = memos[stage][1]
         full = at_common[stage]
         for x in range(tower.size(stage)):
             checks += 2
@@ -423,14 +402,14 @@ def verify_ladder(tower: TowerModel, ladder: ActionLadder) -> LadderReport:
         if stage == 0:
             continue
         q = tower.layers[stage - 1].q
-        proj_step = _table_power(
-            tables[stage - 1],
+        proj_step = iterated_table(
+            memos[stage - 1],
             _step_ratio(ladder.stage_theta(stage), ladder.stage_theta(stage - 1)),
         )
         for x in range(tower.size(stage)):
             for y in range(tower.size(0)):
                 checks += 2
-                if tables[stage][x][y] // q != proj_step[x // q][y]:
+                if one[x][y] // q != proj_step[x // q][y]:
                     violations.append(("equivariance", stage, x, y))
                 if full[x][y] // q != at_common[stage - 1][x // q][y]:
                     violations.append(("equivariance_common", stage, x, y))

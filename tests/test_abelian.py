@@ -266,6 +266,10 @@ class TestSolve:
         assert solve(h, g.zero()) == g.zero()
         assert solve(h, g.element((1,))) is None
 
+    def test_into_trivial_group(self):
+        h = GroupHom(FgAbGroup((2,)), FgAbGroup(()), [])
+        assert solve(h, h.target.zero()) == h.source.zero()
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_consistency(self, seed):
         rng = random.Random(10_000 + seed)

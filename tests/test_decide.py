@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -127,6 +128,48 @@ class TestValidate:
         assert any(v[0] in ("square", "restriction_naturality")
                    for v in report.violations)
 
+    def test_generator_order_on_non_bijective_tables(self):
+        # the cycle-based order check agrees with walking `order` steps
+        for seed in range(20):
+            inst = generate_instance(seed)
+            rng = random.Random(seed)
+            act_x = {
+                g: tuple(rng.choice(inst.x_classes) for _ in row)
+                for g, row in inst.act_x.items()
+            }
+            report = validate_instance(dataclasses.replace(inst, act_x=act_x))
+            got = [v for v in report.violations if v[0] == "generator_order"]
+            expect = []
+            for j, order in enumerate(inst.gx.orders):
+                for g in inst.x_classes:
+                    h = g
+                    for _ in range(order):
+                        h = act_x[h][j]
+                    if h != g:
+                        expect.append(("generator_order", "x", j, g))
+            assert got == expect
+
+    def test_huge_orders_validate_quickly(self):
+        # orders written in the input must not set the amount of work:
+        # a walk of 10^18 steps per class would never finish
+        n = 10**18
+        g = FgAbGroup((n,))
+        half = g.element((n // 2,))
+        swap = {0: (1,), 1: (0,)}
+        inst = ExtensionInstance(
+            gx=g, ga=g, restriction=GroupHom(g, g, [[n - 1]]),
+            target_ground=half, theta=n // 2,
+            x_classes=(0, 1), a_classes=(0, 1),
+            proj_x={0: g.zero(), 1: half}, proj_a={0: g.zero(), 1: half},
+            restrict_class={0: 0, 1: 1}, target_class=1,
+            act_x=swap, act_a=swap,
+        )
+        started = time.perf_counter()
+        report = validate_instance(inst)
+        assert time.perf_counter() - started < 2.0
+        assert report.ok, report.violations
+        assert decide(inst).witness == 1
+
     def test_infinite_ground_instance_validates(self):
         report = validate_instance(infinite_ground_instance())
         assert report.ok, report.violations
@@ -231,6 +274,27 @@ class TestDecide:
         )
         verdict = decide(shaped)
         assert verdict.answer == "NO" and verdict.rep_count == 0
+
+    def test_trivial_ground_a_agrees_with_brute_force(self):
+        # Z/2 -> 0 with a Z/2 fiber on each side; solve into the trivial
+        # group used to raise
+        gx, ga = FgAbGroup((2,)), FgAbGroup(())
+        xs = (0, 1, 2, 3)
+        for restrict_class in ({g: g % 2 for g in xs}, {g: 0 for g in xs}):
+            inst = ExtensionInstance(
+                gx=gx, ga=ga, restriction=GroupHom(gx, ga, []),
+                target_ground=ga.zero(), theta=2, x_classes=xs,
+                a_classes=(0, 1),
+                proj_x={g: gx.element((g // 2,)) for g in xs},
+                proj_a={0: ga.zero(), 1: ga.zero()},
+                restrict_class=restrict_class, target_class=1,
+                act_x={g: (g,) for g in xs}, act_a={0: (), 1: ()},
+            )
+            assert validate_instance(inst).ok
+            got = decide(inst)
+            assert got.answer == brute_force(inst).answer
+            if got.answer == "YES":
+                assert inst.restrict_class[got.witness] == inst.target_class
 
     def test_precheck_raises_on_breach(self):
         inst = generate_instance(3)

@@ -9,7 +9,6 @@ from extdecide.tower import (
     Layer,
     TowerModel,
     build_ladder,
-    common_theta,
     enumerate_lifts,
     random_tower,
     stage_act,
@@ -91,12 +90,12 @@ class TestBuildLadder:
         # layer moduli 2 then 4 at min order 2: thetas 2 and 2 * theta(4, 2)
         assert ladder.thetas[0] == 2
         assert ladder.thetas[1] == ladder.ops[1].theta * 2
-        assert common_theta(ladder) == ladder.thetas[1]
+        assert ladder.common_theta == ladder.thetas[1]
 
     def test_common_theta_no_layers(self):
         t = TowerModel(FgAbGroup((2, 2)))
         ladder = build_ladder(t)
-        assert common_theta(ladder) == 1
+        assert ladder.common_theta == 1
         assert verify_ladder(t, ladder).ok
 
     def test_theta_divisibility(self):
@@ -108,7 +107,7 @@ class TestBuildLadder:
             for th in ladder.thetas:
                 assert th % prev == 0
                 prev = th
-            assert all(common_theta(ladder) % th == 0 for th in ladder.thetas)
+            assert all(ladder.common_theta % th == 0 for th in ladder.thetas)
 
 
 class TestStageAct:
@@ -155,7 +154,7 @@ class TestStageAct:
         rng = random.Random(41)
         t = random_tower(rng)
         ladder = build_ladder(t)
-        theta = common_theta(ladder)
+        theta = ladder.common_theta
         for stage in range(1, t.depth + 1):
             for x in range(t.size(stage)):
                 for y in range(t.size(0)):
