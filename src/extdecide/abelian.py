@@ -7,8 +7,8 @@ homomorphisms are integer matrices acting on coordinates.  Everything runs
 on unbounded Python integers; there is no overflow anywhere.
 
 The workhorse is Smith normal form with tracked unimodular transforms
-(and their inverses), from which kernels, cosets and linear solving over
-these groups all follow.
+(and the inverse of the row transform), from which kernels, cosets and
+linear solving over these groups all follow.
 """
 
 from __future__ import annotations
@@ -302,11 +302,14 @@ def _mat_mul(a, b):
 
 
 def _snf_full(matrix):
-    """Smith normal form with transforms and their inverses.
+    """Smith normal form with both transforms and the row transform's
+    inverse.
 
-    Returns (U, D, V, Uinv, Vinv) as lists of lists with U*A*V = D,
-    U*Uinv = I, V*Vinv = I.  Deterministic: the pivot is always the
-    smallest nonzero absolute value, first in row-major order.
+    Returns (U, D, V, Uinv) as lists of lists with U*A*V = D and
+    U*Uinv = I.  The columns of Uinv times the diagonal span the column
+    lattice of A, and U maps that lattice onto the diagonal's multiples.
+    Deterministic: the pivot is always the smallest nonzero absolute
+    value, first in row-major order.
     """
     D = [[int(v) for v in row] for row in matrix]
     rows = len(D)
@@ -315,7 +318,7 @@ def _snf_full(matrix):
         if len(row) != cols:
             raise ValueError("ragged matrix")
     U, Uinv = _identity(rows), _identity(rows)
-    V, Vinv = _identity(cols), _identity(cols)
+    V = _identity(cols)
 
     def row_add(i, j, c):  # row_i += c * row_j
         D[i] = [a + c * b for a, b in zip(D[i], D[j])]
@@ -340,14 +343,12 @@ def _snf_full(matrix):
             D[r][j] += c * D[r][i]
         for r in range(cols):
             V[r][j] += c * V[r][i]
-        Vinv[i] = [a - c * b for a, b in zip(Vinv[i], Vinv[j])]
 
     def col_swap(i, j):
         for r in range(rows):
             D[r][i], D[r][j] = D[r][j], D[r][i]
         for r in range(cols):
             V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def find_pivot(t):
         best = None
@@ -403,7 +404,7 @@ def _snf_full(matrix):
         if find_pivot(t) is None:
             break
 
-    return U, D, V, Uinv, Vinv
+    return U, D, V, Uinv
 
 
 def snf(matrix) -> SnfResult:
@@ -413,7 +414,7 @@ def snf(matrix) -> SnfResult:
     unimodular with U * A * V = D.  Total on all integer matrices,
     including empty and rectangular ones.
     """
-    U, D, V, _, _ = _snf_full(matrix)
+    U, D, V, _ = _snf_full(matrix)
     return SnfResult(
         U=tuple(tuple(r) for r in U),
         D=tuple(tuple(r) for r in D),
@@ -428,7 +429,7 @@ def _solve_linear(matrix, rhs):
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    U, D, V, _, _ = _snf_full(matrix)
+    U, D, V, _ = _snf_full(matrix)
     c = [sum(U[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
     w = [0] * cols
     for i in range(min(rows, cols)):
@@ -445,6 +446,16 @@ def _solve_linear(matrix, rhs):
     return [sum(V[i][k] * w[k] for k in range(cols)) for i in range(cols)]
 
 
+def _augmented(h: GroupHom):
+    """[M | diag(target orders)]: h(x) = y exactly when (x, z) solves
+    this system against the coordinates of y for some integer vector z."""
+    t = h.target.rank
+    return [
+        list(row) + [q if k == i else 0 for k in range(t)]
+        for i, (row, q) in enumerate(zip(h.matrix, h.target.orders))
+    ]
+
+
 def solve(h: GroupHom, target: GroupElement):
     """Some x with h(x) = target, or None when no solution exists.
 
@@ -453,17 +464,12 @@ def solve(h: GroupHom, target: GroupElement):
     """
     if target.group != h.target:
         raise GroupMismatchError("target element not in the hom's target group")
-    s, t = h.source.rank, h.target.rank
-    if t == 0:
+    if h.target.rank == 0:
         return h.source.zero()
-    aug = [
-        list(h.matrix[i]) + [h.target.orders[i] if k == i else 0 for k in range(t)]
-        for i in range(t)
-    ]
-    z = _solve_linear(aug, list(target.coords))
+    z = _solve_linear(_augmented(h), list(target.coords))
     if z is None:
         return None
-    return h.source.element(z[:s])
+    return h.source.element(z[:h.source.rank])
 
 
 def kernel(h: GroupHom):
@@ -474,60 +480,39 @@ def kernel(h: GroupHom):
     orders come out in divisibility order, infinite summands last.
     """
     s, t = h.source.rank, h.target.rank
-    # lattice of coordinate vectors mapping to zero: x with M x in the
-    # target relation lattice, via the null space of [M | diag(orders)]
-    aug = [
-        list(h.matrix[i]) + [h.target.orders[i] if k == i else 0 for k in range(t)]
-        for i in range(t)
-    ]
+    # lattice of coordinate vectors mapping to zero: the x-part of the
+    # null space of the augmented system
     if t == 0:
-        aug_cols = s
-        null_cols = _identity(s)
+        gens = _identity(s)
     else:
-        _, D, V, _, _ = _snf_full(aug)
-        aug_cols = s + t
-        null_cols = []
-        for j in range(aug_cols):
-            d = D[j][j] if j < min(t, aug_cols) else 0
-            if d == 0:
-                null_cols.append([V[i][j] for i in range(aug_cols)])
-    gens = [[col[i] for col in null_cols] for i in range(s)]  # s x k
+        _, D, V, _ = _snf_full(_augmented(h))
+        null = [j for j in range(s + t) if j >= t or D[j][j] == 0]
+        gens = [[V[i][j] for j in null] for i in range(s)]  # s x k
 
-    # a basis of the lattice spanned by gens
-    k = len(null_cols)
-    if k == 0:
-        basis = [[] for _ in range(s)]
-    else:
-        _, Dg, _, Ug_inv, _ = _snf_full(gens)
-        basis_cols = []
-        for i in range(min(s, k)):
-            d = Dg[i][i]
-            if d:
-                basis_cols.append([d * Ug_inv[r][i] for r in range(s)])
-        basis = [[col[i] for col in basis_cols] for i in range(s)]  # s x kb
-    kb = len(basis[0]) if s else 0
+    # a basis of the lattice spanned by gens: d_i * Uinv[:, i] for the
+    # non-zero invariant factors d_i.  A lattice vector v has coordinate
+    # (U v)_i / d_i on basis vector i, and (U v)_i = 0 past the basis.
+    k = len(gens[0]) if s else 0
+    U, Dg, _, Uinv = _snf_full(gens)
+    ds = [Dg[i][i] for i in range(min(s, k)) if Dg[i][i]]
+    basis = [[d * Uinv[r][i] for i, d in enumerate(ds)] for r in range(s)]
 
-    # express the source relations in that basis
-    rel_cols = []
-    for j in range(s):
-        rel = [h.source.orders[j] if i == j else 0 for i in range(s)]
-        if kb == 0:
-            if any(rel):
-                raise AssertionError("source relation outside the kernel lattice")
-            rel_cols.append([])
-            continue
-        coeff = _solve_linear(basis, rel)
-        if coeff is None:
+    # the source relations q_j * e_j in that basis, one column each
+    C = []  # len(ds) x s
+    for i, row in enumerate(U):
+        rel = [q * u for q, u in zip(h.source.orders, row)]
+        d = ds[i] if i < len(ds) else 0
+        if any(v % d if d else v for v in rel):
             raise AssertionError("source relation outside the kernel lattice")
-        rel_cols.append(coeff)
-    C = [[rel_cols[j][i] for j in range(s)] for i in range(kb)]  # kb x s
+        if d:
+            C.append([v // d for v in rel])
 
-    _, Dc, _, Uc_inv, _ = _snf_full(C)
-    gen_matrix = _mat_mul(basis, Uc_inv) if kb else [[] for _ in range(s)]
+    _, Dc, _, Uc_inv = _snf_full(C)
+    gen_matrix = _mat_mul(basis, Uc_inv)
     orders = []
     cols = []
-    for i in range(kb):
-        d = Dc[i][i] if i < min(kb, s) else 0
+    for i in range(len(ds)):
+        d = Dc[i][i]
         if d == 1:
             continue
         col = [gen_matrix[r][i] for r in range(s)]

@@ -304,10 +304,14 @@ def representative_set(inst: ExtensionInstance):
 
     Returns None when the restriction never reaches the ground target.
     Otherwise returns (h0, reps) where h0 solves the restriction and reps
-    walks h0 + sum z_j * k_j over the kernel generators k_j with
-    |z_j| <= theta // 2 (capped for finite kernel orders so every residue
-    still appears), deduplicated, in odometer order.  Every element of
-    h0 + kernel then splits as rep + theta * (kernel element).
+    walks h0 + sum z_j * k_j over the kernel generators k_j in odometer
+    order, with |z_j| <= theta // 2, capped for a finite kernel order o
+    at o // 2 so every residue still appears.  The inclusion of the
+    kernel is injective, so two tuples meet only when they agree modulo
+    every kernel order; that happens only for z_j = -o/2 and z_j = o/2 at
+    an even o, whose range therefore stops at o/2 - 1, and no
+    representative repeats.  Every element of h0 + kernel then splits as
+    rep + theta * (kernel element).
     """
     h0 = solve(inst.restriction, inst.target_ground)
     if h0 is None:
@@ -318,16 +322,14 @@ def representative_set(inst: ExtensionInstance):
     ranges = []
     for order in ker.orders:
         bound = half if order == 0 else min(half, order // 2)
-        ranges.append(range(-bound, bound + 1))
+        stop = bound if order and 2 * bound == order else bound + 1
+        ranges.append(range(-bound, stop))
     reps = []
-    seen = set()
     for zs in itertools.product(*ranges):
         rep = h0
         for z, gen in zip(zs, gens):
             rep = rep + z * gen
-        if rep not in seen:
-            seen.add(rep)
-            reps.append(rep)
+        reps.append(rep)
     return h0, tuple(reps)
 
 

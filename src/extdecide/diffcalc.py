@@ -102,9 +102,6 @@ class ActionAlgebra:
         """Table of x +_times y.  times >= 1."""
         return iterated_table(self._iterates, times)
 
-    def apply(self, x: int, y: int, times: int = 1) -> int:
-        return self.iterated(times)[x][y]
-
     def __eq__(self, other):
         if not isinstance(other, ActionAlgebra):
             return NotImplemented
@@ -202,6 +199,10 @@ class DiffOperator:
         return self.p**self.m
 
     def __post_init__(self):
+        for name, least in (("p", 2), ("m", 1), ("order", 1), ("theta", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         q = self.q
         for coeff, stride in self.terms:
             if not 0 < coeff < q:
@@ -273,10 +274,9 @@ def build_diff_operator(p: int, m: int, min_order: int) -> DiffOperator:
 
 
 def evaluate_diagonal(
-    op: DiffOperator, f: GValuedMap, x: int, y: int, base_stride: int = 1
+    op: DiffOperator, f: GValuedMap, x: int, y: int
 ) -> GroupElement:
-    """The operator applied to f at (x; y, ..., y), strides scaled by
-    base_stride.
+    """The operator applied to f at (x; y, ..., y).
 
     With all increments equal, the subset sum of each difference collapses
     to binomially weighted values along the iterated action, so only
@@ -287,14 +287,12 @@ def evaluate_diagonal(
         raise ValueError("base point outside S")
     if not 0 <= y < f.algebra.t_size:
         raise ValueError("increment outside T")
-    if base_stride < 1:
-        raise ValueError("base stride must be positive")
     order = op.order
     binom = [math.comb(order, k) for k in range(order + 1)]
     rank = f.target.rank
     total = [0] * rank
     for coeff, stride in op.terms:
-        table = f.algebra.iterated(stride * base_stride)
+        table = f.algebra.iterated(stride)
         point = x
         for k in range(order + 1):
             w = coeff * binom[k] * (-1 if (order - k) % 2 else 1)

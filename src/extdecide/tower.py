@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from sympy import factorint
+from sympy import isprime, perfect_power
 
 from .abelian import FgAbGroup
 from .diffcalc import (
@@ -48,14 +48,15 @@ __all__ = [
 
 
 def _prime_power(q: int):
-    """(p, e) with q = p^e, or None if q is not a prime power >= 2."""
+    """(p, e) with q = p^e, or None if q is not a prime power >= 2.
+
+    A perfect-power test and a primality test on its root, so the cost
+    stays bounded where factoring q (a large semiprime, say) would not.
+    """
     if q < 2:
         return None
-    fac = factorint(q)
-    if len(fac) != 1:
-        return None
-    ((p, e),) = fac.items()
-    return int(p), int(e)
+    root, e = perfect_power(q) or (q, 1)
+    return (int(root), int(e)) if isprime(root) else None
 
 
 @dataclass(frozen=True)
@@ -178,13 +179,17 @@ class ActionLadder:
         return 1 if stage == 0 else self.thetas[stage - 1]
 
     @cached_property
+    def _step_memos(self):
+        """Per-stage power memos of the one-step tables, for
+        iterated_table; stage_act and step_tables share them."""
+        return _build_step_tables(self.tower, self, violations=None)
+
+    @cached_property
     def step_tables(self):
         """table[s][x][y] = one application of the stage-s action (at its
         own scale Theta_s).  Raises if a twist breaks fiber membership;
         use verify_ladder for a tolerant audit."""
-        return [
-            memo[1] for memo in _build_step_tables(self.tower, self, violations=None)
-        ]
+        return [memo[1] for memo in self._step_memos]
 
 
 def _step_ratio(scale: int, base: int) -> int:
@@ -305,17 +310,15 @@ def stage_act(
     """Act with ground element y on stage point x, at scale at_theta.
 
     at_theta must be a positive multiple of the stage's own scale; the
-    action is derived by iterating the one-step action.
+    action is the one-step action iterated at_theta / Theta_stage times,
+    by doubling on the ladder's per-stage power memo.
     """
     base = ladder.stage_theta(stage)
     if at_theta < 1 or at_theta % base:
         raise ValueError(
             f"scale {at_theta} is not a positive multiple of stage scale {base}"
         )
-    table = ladder.step_tables[stage]
-    for _ in range(at_theta // base):
-        x = table[x][y]
-    return x
+    return iterated_table(ladder._step_memos[stage], at_theta // base)[x][y]
 
 
 def enumerate_lifts(tower: TowerModel, labels, assignment, stage: int):

@@ -222,6 +222,25 @@ class TestKernel:
         image = {h(e) for e in src.elements()}
         assert k.size * len(image) == src.size
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_mixed_homs(self, seed):
+        """Z and Z/q summands with entries up to 2^40: every generator maps
+        to zero, the inclusion is injective, and it reaches the multiples
+        of the target exponent, which the kernel must contain."""
+        rng = random.Random(500 + seed)
+        pool = (0, 0, 2, 3, 4, 6, 8, 12, 2**40 + 15)
+        src = FgAbGroup([rng.choice(pool) for _ in range(rng.randint(1, 4))])
+        tgt = FgAbGroup([rng.choice(pool) for _ in range(rng.randint(1, 3))])
+        h = GroupHom(src, tgt, random_hom_matrix(rng, src, tgt, bound=2**40))
+        k, inj = kernel(h)
+        for j in range(k.rank):
+            assert h(inj(k.generator(j))).is_zero
+        assert kernel(inj)[0].rank == 0
+        if tgt.is_finite:
+            for _ in range(5):
+                x = src.element([rng.randint(-(2**40), 2**40) for _ in src.orders])
+                assert solve(inj, tgt.exponent() * x) is not None
+
     def test_kernel_with_free_part(self):
         # projection (a, b) -> b of Z + Z/4 has kernel Z
         src = FgAbGroup((0, 4))
@@ -231,13 +250,13 @@ class TestKernel:
         assert h(inj(k.generator(0))).is_zero
 
 
-def random_hom_matrix(rng, src, tgt):
+def random_hom_matrix(rng, src, tgt, bound=9):
     m = []
     for qt in tgt.orders:
         row = []
         for qs in src.orders:
             if qs == 0:
-                row.append(rng.randint(-9, 9))
+                row.append(rng.randint(-bound, bound))
             elif qt == 0:
                 row.append(0)
             else:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -75,6 +76,22 @@ class TestDiffCheck:
         assert report["result"]["violations_total"] > 0
         assert report["input_digest"].startswith("sha256:")
 
+    @pytest.mark.parametrize("field, value", [("m", -1), ("theta", 0)])
+    def test_out_of_range_operator_field_exits_2(
+        self, capsys, tmp_path, field, value
+    ):
+        out = tmp_path / "op.json"
+        run(capsys, "diff", "build", "--p", "2", "--m", "2", "--l0", "4",
+            "--out", str(out), "--quiet")
+        data = json.loads(out.read_text())
+        data[field] = value
+        out.write_text(canonical_json(data))
+        code, report, _ = run(
+            capsys, "diff", "check", "--operator", str(out), "--trials", "5"
+        )
+        assert code == 2
+        assert f"{field} must be >= 1" in report["error"]
+
     def test_zero_trials_warns(self, capsys):
         code, report, err = run(
             capsys, "diff", "check", "--p", "2", "--m", "1", "--l0", "1",
@@ -121,6 +138,22 @@ class TestTowerVerify:
             )
         )
         code, report, _ = run(capsys, "tower", "verify", str(path))
+        assert code == 2
+        assert "prime power" in report["error"]
+
+    def test_semiprime_modulus_exits_2_quickly(self, capsys, tmp_path):
+        from test_tower import SEMIPRIME
+
+        path = tmp_path / "semi.json"
+        path.write_text(
+            canonical_json(
+                {"format_version": "1", "kind": "tower", "ground": [2],
+                 "layers": [{"q": str(SEMIPRIME), "kappa": {}}]}
+            )
+        )
+        started = time.perf_counter()
+        code, report, _ = run(capsys, "tower", "verify", str(path))
+        assert time.perf_counter() - started < 2.0
         assert code == 2
         assert "prime power" in report["error"]
 

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import random
 import time
 
 import pytest
 
-from extdecide.abelian import FgAbGroup, GroupHom
+from extdecide.abelian import FgAbGroup, GroupHom, kernel
 from extdecide.decide import (
     ExtensionInstance,
     GenParams,
@@ -220,6 +221,40 @@ class TestRepresentativeSet:
         kernel_elems = {gx.element((k, 0)) for k in range(3)}
         assert {r - h0 for r in reps} == kernel_elems
 
+    def test_matches_walk_and_dedupe(self):
+        """The same representatives in the same order as walking every
+        tuple with |z_j| <= bound and dropping repeats, including where
+        theta // 2 reaches o // 2 at an even kernel order o."""
+        params = GenParams(order_pool=(2, 4, 6, 8, 12))
+        capped = 0
+        for seed in range(40):
+            for theta in (2, 3, 8, 16, 33):
+                try:
+                    inst = generate_instance(seed, theta=theta, params=params)
+                except ValueError:
+                    continue  # over the class bound
+                found = representative_set(inst)
+                if found is None:
+                    continue
+                h0, reps = found
+                ker, inject = kernel(inst.restriction)
+                gens = [inject(ker.generator(j)) for j in range(ker.rank)]
+                bounds = [
+                    theta // 2 if o == 0 else min(theta // 2, o // 2)
+                    for o in ker.orders
+                ]
+                capped += any(o and 2 * b == o for o, b in zip(ker.orders, bounds))
+                expected, seen = [], set()
+                for zs in itertools.product(*(range(-b, b + 1) for b in bounds)):
+                    rep = h0
+                    for z, gen in zip(zs, gens):
+                        rep = rep + z * gen
+                    if rep not in seen:
+                        seen.add(rep)
+                        expected.append(rep)
+                assert reps == tuple(expected)
+        assert capped >= 30  # the even-order cap is exercised
+
     @pytest.mark.parametrize("seed", range(30))
     def test_coverage(self, seed):
         """Every element of the solution coset is rep + theta * kernel."""
@@ -232,8 +267,6 @@ class TestRepresentativeSet:
             )
             return
         h0, reps = found
-        from extdecide.abelian import kernel
-
         ker, inject = kernel(inst.restriction)
         kernel_elems = [inject(e) for e in ker.elements()]
         if len(kernel_elems) > 81:

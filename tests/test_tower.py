@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -8,12 +9,18 @@ from extdecide.tower import (
     ActionLadder,
     Layer,
     TowerModel,
+    _prime_power,
     build_ladder,
     enumerate_lifts,
     random_tower,
     stage_act,
     verify_ladder,
 )
+
+
+# a 140-bit semiprime, 3 * 2^68 + 59 times 5 * 2^68 + 87 (both prime):
+# no prime power, and slow to factor
+SEMIPRIME = (3 * 2**68 + 59) * (5 * 2**68 + 87)
 
 
 def flat_tower(ground_orders, qs, value=0):
@@ -55,6 +62,19 @@ class TestCarriers:
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):
             Layer(q=6, kappa=[0, 0])
+
+    def test_semiprime_rejected_quickly(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="not a prime power"):
+            Layer(q=SEMIPRIME, kappa=[0, 0])
+        assert time.perf_counter() - started < 2.0
+
+    def test_prime_power_split(self):
+        assert _prime_power(8) == (2, 3)
+        assert _prime_power(2**61) == (2, 61)
+        assert _prime_power(2**89 - 1) == (2**89 - 1, 1)  # a Mersenne prime
+        for q in (0, 1, 12, 36, SEMIPRIME):
+            assert _prime_power(q) is None
 
     def test_kappa_length_checked(self):
         with pytest.raises(ValueError):
@@ -125,7 +145,7 @@ class TestStageAct:
         ladder = build_ladder(t)
         for x in range(5):
             for y in range(5):
-                for scale in (1, 2, 7):
+                for scale in (1, 2, 7, 10**18):
                     got = stage_act(t, ladder, 0, x, y, scale)
                     assert got == (x + scale * y) % 5
 
