@@ -9,7 +9,9 @@ emitted, so NO_COLOR needs no special handling.
 
 Exit codes: 0 success/verified, 1 semantic failure (violations, verdict
 disagreement), 2 input error (bad arguments or unparseable files),
-3 unsupported-mode refusal (e.g. --oracle on an infinite ground group).
+3 unsupported-mode refusal (e.g. --oracle on an infinite ground group),
+4 internal error (any other exception; the report then carries the
+exception's type and message under "error" and a null result).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from sympy import isprime
@@ -40,6 +43,7 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 
 def _integer(accept, message: str):
@@ -164,8 +168,8 @@ def cmd_diff_build(args, report):
 def cmd_diff_check(args, report):
     if args.operator:
         data, input_digest = _read_json(args.operator)
-        op = ff.load_operator(data)
         report["input_digest"] = input_digest
+        op = ff.load_operator(data)
     else:
         if args.p is None or args.m is None or args.l0 is None:
             raise ff.FileFormatError(
@@ -346,6 +350,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         report["error"] = str(exc)
         code, summary = EXIT_INPUT, [f"i/o error: {exc}"]
+    except Exception as exc:
+        # the partial result may hold values too large to serialize
+        report["result"] = None
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        code = EXIT_INTERNAL
+        summary = [f"internal error: {report['error']}"]
+        summary += traceback.format_exc().splitlines()
     report["counters"]["duration_s"] = round(time.perf_counter() - started, 6)
     sys.stdout.write(ff.canonical_json(report))
     if not args.json_only:

@@ -12,6 +12,10 @@ produces, for a prime power q = p^m, a formal integer combination of such
 differences that expresses f(x + theta*y) - f(x) modulo q simultaneously
 for every map f; check_congruence verifies that guarantee exhaustively
 over a concrete algebra.
+
+One routine evaluates an operator on the diagonal (x; y, ..., y): it works
+on plain integer value tables, for all base points at once, and serves
+build_ladder's twists, check_congruence and evaluate_diagonal alike.
 """
 
 from __future__ import annotations
@@ -273,43 +277,44 @@ def build_diff_operator(p: int, m: int, min_order: int) -> DiffOperator:
     )
 
 
+def _diagonal_sums(op: DiffOperator, memo: dict, values, y: int) -> list:
+    """Exact sums of the operator on the integer table values at
+    (x; y, ..., y), for every base point x of memo[1] (a power memo, as
+    for iterated_table).  With all increments equal, each difference is a
+    binomially weighted sum along column y of its iterated table, walked
+    for all base points together.
+    """
+    order = op.order
+    weights = [(-1) ** (order - k) * math.comb(order, k) for k in range(order + 1)]
+    sums = [0] * len(memo[1])
+    for coeff, stride in op.terms:
+        column = [row[y] for row in iterated_table(memo, stride)]
+        points = range(len(sums))
+        for k, w in enumerate(weights):
+            if k:
+                points = [column[v] for v in points]
+            w *= coeff
+            sums = [s + w * values[v] for s, v in zip(sums, points)]
+    return sums
+
+
 def evaluate_diagonal(
     op: DiffOperator, f: GValuedMap, x: int, y: int
 ) -> GroupElement:
-    """The operator applied to f at (x; y, ..., y).
+    """The operator applied to f at (x; y, ..., y), exact in f.target.
 
-    With all increments equal, the subset sum of each difference collapses
-    to binomially weighted values along the iterated action, so only
-    order+1 points are read per term.  Coefficients are lifted to their
-    canonical integer representatives before scalar multiplication.
+    A view of _diagonal_sums, the one diagonal evaluator: build_ladder,
+    check_congruence and this function all use it.  Coefficients enter as
+    their canonical integer representatives.
     """
     if not 0 <= x < f.algebra.s_size:
         raise ValueError("base point outside S")
     if not 0 <= y < f.algebra.t_size:
         raise ValueError("increment outside T")
-    order = op.order
-    binom = [math.comb(order, k) for k in range(order + 1)]
-    rank = f.target.rank
-    total = [0] * rank
-    for coeff, stride in op.terms:
-        table = f.algebra.iterated(stride)
-        point = x
-        for k in range(order + 1):
-            w = coeff * binom[k] * (-1 if (order - k) % 2 else 1)
-            coords = f.table[point].coords
-            for r in range(rank):
-                total[r] += w * coords[r]
-            if k < order:
-                point = table[point][y]
-    return f.target.element(total)
-
-
-def _in_multiples(elem: GroupElement, n: int) -> bool:
-    """Whether elem lies in n*G, coordinate by coordinate."""
-    for c, q in zip(elem.coords, elem.group.orders):
-        if c % math.gcd(n, q):
-            return False
-    return True
+    columns = zip(*(v.coords for v in f.table))
+    return f.target.element(
+        [_diagonal_sums(op, f.algebra._iterates, col, y)[x] for col in columns]
+    )
 
 
 @dataclass(frozen=True)
@@ -325,26 +330,31 @@ class CongruenceReport:
 def check_congruence(op: DiffOperator, f: GValuedMap) -> CongruenceReport:
     """Exhaustive audit of f(x +_theta y) = f(x) + op(f)(x; y, .., y) mod q.
 
-    Sweeps every (x, y) in S x T and reports each pair where the residual
-    falls outside q times the target group.  An empty violation list is
-    the certificate that the operator reduces correctly for this f.
+    Sweeps every (x, y) in S x T and reports, in row-major order, each
+    pair where the residual falls outside q times the target group.  An
+    empty violation list is the certificate that the operator reduces
+    correctly for this f.
     """
-    q = op.q
-    theta_table = f.algebra.iterated(op.theta)
+    memo = f.algebra._iterates
+    theta_table = iterated_table(memo, op.theta)
+    t_size = f.algebra.t_size
+    columns = list(zip(*(v.coords for v in f.table)))
+    diagonals = [
+        [_diagonal_sums(op, memo, col, y) for y in range(t_size)]
+        for col in columns
+    ]
+    moduli = [math.gcd(op.q, order) for order in f.target.orders]
     violations = []
-    checks = 0
-    for x in range(f.algebra.s_size):
-        fx = f.table[x]
-        for y in range(f.algebra.t_size):
-            checks += 1
-            residual = (
-                f.table[theta_table[x][y]]
-                - fx
-                - evaluate_diagonal(op, f, x, y)
-            )
-            if not _in_multiples(residual, q):
-                violations.append((x, y, residual))
-    return CongruenceReport(checks=checks, violations=tuple(violations))
+    for x, row in enumerate(theta_table):
+        for y, z in enumerate(row):
+            residual = [
+                col[z] - col[x] - diag[y][x] for col, diag in zip(columns, diagonals)
+            ]
+            if any(c % n for c, n in zip(residual, moduli)):
+                violations.append((x, y, f.target.element(residual)))
+    return CongruenceReport(
+        checks=f.algebra.s_size * t_size, violations=tuple(violations)
+    )
 
 
 def random_algebra(rng, max_s: int = 6, max_t: int = 6) -> ActionAlgebra:

@@ -26,13 +26,7 @@ from functools import cached_property
 from sympy import isprime, perfect_power
 
 from .abelian import FgAbGroup
-from .diffcalc import (
-    ActionAlgebra,
-    GValuedMap,
-    build_diff_operator,
-    evaluate_diagonal,
-    iterated_table,
-)
+from .diffcalc import _diagonal_sums, build_diff_operator, iterated_table
 
 __all__ = [
     "Layer",
@@ -263,37 +257,22 @@ def build_ladder(tower: TowerModel, min_order: int = 2) -> ActionLadder:
     adding it to the fiber coordinate keeps the membership constraint
     while the base point moves at the new scale Theta = theta * Theta_prev.
     """
-    ops = []
-    thetas = []
-    twists = []
-    step = tower.add_table
-    prev_theta = 1
+    ops, thetas, twists = [], [], []
+    memo = {1: tower.add_table}  # powers of the stage below's one-step table
     for stage in range(1, tower.depth + 1):
         layer = tower.layers[stage - 1]
-        p, m = _prime_power(layer.q)
-        op = build_diff_operator(p, m, min_order)
-        algebra = ActionAlgebra(step, tower.ground_zero)
-        target = FgAbGroup((layer.q,))
-        kmap = GValuedMap(
-            algebra, target, [target.element((v,)) for v in layer.kappa]
-        )
-        theta_total = op.theta * prev_theta
-        n_ground = tower.size(0)
-        twist = tuple(
-            tuple(
-                evaluate_diagonal(op, kmap, x, y).coords[0]
-                for y in range(n_ground)
-            )
-            for x in range(tower.size(stage - 1))
-        )
+        op = build_diff_operator(*_prime_power(layer.q), min_order)
+        columns = [
+            _diagonal_sums(op, memo, layer.kappa, y) for y in range(tower.size(0))
+        ]
+        twist = tuple(tuple(w % layer.q for w in row) for row in zip(*columns))
         ops.append(op)
-        thetas.append(theta_total)
+        thetas.append(op.theta * (thetas[-1] if thetas else 1))
         twists.append(twist)
-        # one-step table of the new stage, for the next layer's algebra
         step = _lift_stage(
-            tower, stage, algebra.iterated(op.theta), twist, violations=None
+            tower, stage, iterated_table(memo, op.theta), twist, violations=None
         )
-        prev_theta = theta_total
+        memo = {1: step}
     return ActionLadder(
         tower=tower, ops=tuple(ops), thetas=tuple(thetas), twists=tuple(twists)
     )

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
+from extdecide import cli
 from extdecide.cli import main
-from extdecide.fileformat import canonical_json, dump_instance, dump_tower
+from extdecide.fileformat import canonical_json, digest, dump_instance, dump_tower
 from extdecide.decide import generate_instance
 from extdecide.tower import random_tower
 import random
@@ -91,6 +92,7 @@ class TestDiffCheck:
         )
         assert code == 2
         assert f"{field} must be >= 1" in report["error"]
+        assert report["input_digest"] == digest(out.read_bytes())
 
     def test_zero_trials_warns(self, capsys):
         code, report, err = run(
@@ -292,3 +294,31 @@ class TestOutputContract:
         assert once == text
         twice = canonical_json(dump_instance(load_instance(json.loads(once))))
         assert twice == once
+
+    def test_oversized_modulus_gives_one_report(self, capsys, tmp_path):
+        # q = 2^1000000: its decimal form exceeds Python's int-to-str limit
+        out = tmp_path / "op.json"
+        out.write_text(
+            '{"format_version": "1", "kind": "diff_operator", "m": 1000000, '
+            '"order": 4, "p": 2, "terms": [[1, 2], [2, 1]], "theta": 8}'
+        )
+        code, report, _ = run(
+            capsys, "diff", "check", "--operator", str(out), "--trials", "1"
+        )
+        assert code in (0, 1, 2, 3, 4)
+        assert "error" in report and report["result"] is None
+        assert report["input_digest"] == digest(out.read_bytes())
+
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def broken(args, report):
+            report["result"] = {"partial": 1}
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_diff_build", broken)
+        code, report, err = run(
+            capsys, "diff", "build", "--p", "2", "--m", "1", "--l0", "2"
+        )
+        assert code == 4
+        assert report["error"] == "RuntimeError: boom"
+        assert report["result"] is None
+        assert "internal error" in err

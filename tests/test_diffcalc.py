@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -273,7 +274,37 @@ class TestCongruence:
         f = GValuedMap(
             a, FgAbGroup((4,)), [FgAbGroup((4,)).element((v,)) for v in (0, 1, 0, 0)]
         )
-        report = check_congruence(bad, f)
-        assert not report.ok
-        x, y, residual = report.violations[0]
-        assert 0 <= x < 4 and 0 <= y < 4 and not residual.is_zero
+        maps = [f]
+        rng = random.Random(29)
+        for _ in range(20):
+            algebra = random_algebra(rng, max_s=5, max_t=5)
+            for g in (FgAbGroup((4, 4)), FgAbGroup((0, 4))):
+                maps.append(random_map(rng, algebra, g))
+        reports = [check_congruence(bad, h) for h in maps]
+        for h, report in zip(maps, reports):
+            assert report.violations == reference_violations(bad, h)
+            assert report.checks == h.algebra.s_size * h.algebra.t_size
+        assert not reports[0].ok
+        # the comparisons are not between empty lists
+        assert sum(len(r.violations) for r in reports) > len(maps)
+
+
+def reference_violations(op, f):
+    """Row-major (x, y, residual) triples where f(x +_theta y) - f(x) minus
+    the operator, summed from subset differences, is not in q*G."""
+    theta_table = f.algebra.iterated(op.theta)
+    out = []
+    for x in range(f.algebra.s_size):
+        for y in range(f.algebra.t_size):
+            diagonal = f.target.zero()
+            for coeff, stride in op.terms:
+                diagonal = diagonal + coeff * difference(
+                    f, op.order, stride, x, [y] * op.order
+                )
+            residual = f.table[theta_table[x][y]] - f.table[x] - diagonal
+            if any(
+                c % math.gcd(op.q, n)
+                for c, n in zip(residual.coords, f.target.orders)
+            ):
+                out.append((x, y, residual))
+    return tuple(out)

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from extdecide.abelian import FgAbGroup
+from extdecide.diffcalc import ActionAlgebra, GValuedMap, evaluate_diagonal
 from extdecide.tower import (
     ActionLadder,
     Layer,
@@ -117,6 +118,28 @@ class TestBuildLadder:
         ladder = build_ladder(t)
         assert ladder.common_theta == 1
         assert verify_ladder(t, ladder).ok
+
+    @pytest.mark.parametrize("min_order", [2, 3])
+    def test_twists_match_per_point_evaluation(self, min_order):
+        # each twist is the layer operator evaluated diagonally on kappa,
+        # over the one-step action of the stage below, reduced into Z/q
+        for seed in range(60):
+            t = random_tower(random.Random(seed), max_layers=3)
+            ladder = build_ladder(t, min_order=min_order)
+            for stage, (op, layer) in enumerate(zip(ladder.ops, t.layers), 1):
+                algebra = ActionAlgebra(ladder.step_tables[stage - 1], t.ground_zero)
+                target = FgAbGroup((layer.q,))
+                kmap = GValuedMap(
+                    algebra, target, [target.element((v,)) for v in layer.kappa]
+                )
+                expect = tuple(
+                    tuple(
+                        evaluate_diagonal(op, kmap, x, y).coords[0]
+                        for y in range(t.size(0))
+                    )
+                    for x in range(t.size(stage - 1))
+                )
+                assert ladder.twists[stage - 1] == expect, (seed, stage)
 
     def test_theta_divisibility(self):
         rng = random.Random(21)
