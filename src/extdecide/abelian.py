@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from sympy import factorint
+from ._primes import factorize
 
 __all__ = [
     "FgAbGroup",
@@ -533,7 +533,9 @@ def primary_decomposition(group: FgAbGroup):
     Returns (G', forward, backward) with forward: G -> G' and
     backward: G' -> G mutually inverse isomorphisms.  Prime powers of a
     summand appear in ascending prime order; infinite summands pass
-    through unchanged.
+    through unchanged.  Each order is factored exactly by trial division
+    below 1000, then Pollard-Brent rho on top of a deterministic
+    primality test (extdecide._primes.factorize).
     """
     new_orders = []
     fwd_cols = []   # per old summand: list of (new_index, 1)
@@ -545,7 +547,7 @@ def primary_decomposition(group: FgAbGroup):
             fwd_cols.append([(idx, 1)])
             back_entries.append([(idx, 1)])
             continue
-        fac = sorted(factorint(q).items())
+        fac = factorize(q).items()
         col = []
         back = []
         for p, e in fac:

@@ -24,9 +24,8 @@ import time
 import traceback
 from pathlib import Path
 
-from sympy import isprime
-
 from . import fileformat as ff
+from ._primes import is_prime
 from .decide import (
     GenParams,
     OracleUnavailableError,
@@ -62,7 +61,7 @@ def _integer(accept, message: str):
     return parse
 
 
-_prime = _integer(isprime, "{} is not prime")
+_prime = _integer(is_prime, "{} is not prime")
 _positive = _integer(lambda v: v >= 1, "value must be >= 1")
 _non_negative = _integer(lambda v: v >= 0, "value must be >= 0")
 

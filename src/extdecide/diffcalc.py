@@ -21,10 +21,10 @@ build_ladder's twists, check_congruence and evaluate_diagonal alike.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from sympy import isprime
-
+from ._primes import is_prime
 from .abelian import FgAbGroup, GroupElement
 
 __all__ = [
@@ -259,7 +259,7 @@ def build_diff_operator(p: int, m: int, min_order: int) -> DiffOperator:
     is >= min_order; theta comes out as p^(m0 + m - 1).  The result is a
     pure formal expression: building it never consults any map.
     """
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("modulus exponent must be >= 1")
@@ -277,24 +277,47 @@ def build_diff_operator(p: int, m: int, min_order: int) -> DiffOperator:
     )
 
 
-def _diagonal_sums(op: DiffOperator, memo: dict, values, y: int) -> list:
+class _LazyColumn:
+    """column[v] = read(rows[v]), computed only for the v asked for."""
+
+    __slots__ = ("rows", "read")
+
+    def __init__(self, rows, read):
+        self.rows, self.read = rows, read
+
+    def __getitem__(self, v: int):
+        return self.read(self.rows[v])
+
+
+def _diagonal_sums(
+    op: DiffOperator, memo: dict, values, y: int, points=None
+) -> list:
     """Exact sums of the operator on the integer table values at
-    (x; y, ..., y), for every base point x of memo[1] (a power memo, as
-    for iterated_table).  With all increments equal, each difference is a
-    binomially weighted sum along column y of its iterated table, walked
-    for all base points together.
+    (x; y, ..., y), for each base point x in points (default: every base
+    point of memo[1], a power memo as for iterated_table).  With all
+    increments equal, each difference is a binomially weighted sum along
+    column y of its iterated table, walked for the given points together;
+    only the values at points visited are read.
     """
     order = op.order
     weights = [(-1) ** (order - k) * math.comb(order, k) for k in range(order + 1)]
-    sums = [0] * len(memo[1])
+    if points is None:
+        points = range(len(memo[1]))
+    sums = [0] * len(points)
     for coeff, stride in op.terms:
-        column = [row[y] for row in iterated_table(memo, stride)]
-        points = range(len(sums))
+        table = iterated_table(memo, stride)
+        # copying column y costs a pass over S: it pays only when every
+        # point walks, and a single-point walk must not pay it
+        if len(points) == len(table):
+            column = [row[y] for row in table]
+        else:
+            column = _LazyColumn(table, operator.itemgetter(y))
+        walk = points
         for k, w in enumerate(weights):
             if k:
-                points = [column[v] for v in points]
+                walk = [column[v] for v in walk]
             w *= coeff
-            sums = [s + w * values[v] for s, v in zip(sums, points)]
+            sums = [s + w * values[v] for s, v in zip(sums, walk)]
     return sums
 
 
@@ -303,17 +326,23 @@ def evaluate_diagonal(
 ) -> GroupElement:
     """The operator applied to f at (x; y, ..., y), exact in f.target.
 
-    A view of _diagonal_sums, the one diagonal evaluator: build_ladder,
-    check_congruence and this function all use it.  Coefficients enter as
-    their canonical integer representatives.
+    A view of _diagonal_sums, the one diagonal evaluator, at the single
+    base point x, so it reads only the points the walk visits:
+    build_ladder, check_congruence and this function all use it.
+    Coefficients enter as their canonical integer representatives.
     """
     if not 0 <= x < f.algebra.s_size:
         raise ValueError("base point outside S")
     if not 0 <= y < f.algebra.t_size:
         raise ValueError("increment outside T")
-    columns = zip(*(v.coords for v in f.table))
+    memo = f.algebra._iterates
     return f.target.element(
-        [_diagonal_sums(op, f.algebra._iterates, col, y)[x] for col in columns]
+        [
+            _diagonal_sums(
+                op, memo, _LazyColumn(f.table, lambda v, r=r: v.coords[r]), y, (x,)
+            )[0]
+            for r in range(f.target.rank)
+        ]
     )
 
 

@@ -23,7 +23,13 @@ import json
 from .abelian import FgAbGroup, GroupHom
 from .decide import ExtensionInstance
 from .diffcalc import DiffOperator
-from .tower import ActionLadder, Layer, TowerModel
+from .tower import (
+    _MAX_TABLE_ENTRIES,
+    ActionLadder,
+    Layer,
+    TowerModel,
+    _check_stage_size,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -200,6 +206,7 @@ def load_tower(data) -> TowerModel:
         ground = FgAbGroup(orders)
         if not ground.is_finite:
             raise ValueError("ground group must be finite")
+        _check_stage_size(0, ground.size, ground.size)
     except ValueError as exc:
         raise FileFormatError(f"$.ground: {exc}") from exc
     layers = []
@@ -207,12 +214,14 @@ def load_tower(data) -> TowerModel:
     for i, entry in enumerate(_as_list(_get(data, "layers", "$"), "$.layers")):
         path = f"$.layers[{i}]"
         q = _dec_int(_get(entry, "q", path), f"{path}.q")
+        # kappa has size(i) entries, and stage i already passed the cap
         kappa = _load_sparse_ints(_get(entry, "kappa", path), size, f"{path}.kappa")
         try:
             layers.append(Layer(q=q, kappa=kappa))
+            size *= q
+            _check_stage_size(i + 1, size, ground.size)
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
-        size *= q
     try:
         return TowerModel(ground, layers)
     except ValueError as exc:
@@ -237,8 +246,6 @@ def dump_ladder(ladder: ActionLadder) -> dict:
 
 
 # --- decision instances ---
-
-_MAX_TABLE_ENTRIES = 200_000
 
 
 def dump_instance(inst: ExtensionInstance) -> dict:

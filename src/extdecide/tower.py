@@ -23,8 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from sympy import isprime, perfect_power
-
+from ._primes import prime_power
 from .abelian import FgAbGroup
 from .diffcalc import _diagonal_sums, build_diff_operator, iterated_table
 
@@ -41,16 +40,17 @@ __all__ = [
 ]
 
 
-def _prime_power(q: int):
-    """(p, e) with q = p^e, or None if q is not a prime power >= 2.
+# Largest size(stage) x size(0) of any stage, the size of its one-step
+# action table; decision-instance tables share the cap (see fileformat).
+_MAX_TABLE_ENTRIES = 200_000
 
-    A perfect-power test and a primality test on its root, so the cost
-    stays bounded where factoring q (a large semiprime, say) would not.
-    """
-    if q < 2:
-        return None
-    root, e = perfect_power(q) or (q, 1)
-    return (int(root), int(e)) if isprime(root) else None
+
+def _check_stage_size(stage: int, size: int, ground_size: int):
+    if size * ground_size > _MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"stage {stage} too large: size(stage) x size(0) exceeds "
+            f"{_MAX_TABLE_ENTRIES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Layer:
     kappa: tuple
 
     def __post_init__(self):
-        if _prime_power(self.q) is None:
+        if prime_power(self.q) is None:
             raise ValueError(f"layer modulus {self.q} is not a prime power")
         object.__setattr__(self, "kappa", tuple(int(v) for v in self.kappa))
         for v in self.kappa:
@@ -76,7 +76,8 @@ class TowerModel:
     Carrier elements are integer indices.  Stage 0 indexes the ground
     group's odometer enumeration; at stage i >= 1 the element with index
     parent*q + t denotes the pair (parent, kappa(parent) + q*t), so the
-    carrier of stage i has exactly |carrier(i-1)| * q_i elements.
+    carrier of stage i has exactly |carrier(i-1)| * q_i elements.  Every
+    stage's size times the ground's is at most _MAX_TABLE_ENTRIES.
     """
 
     def __init__(self, ground: FgAbGroup, layers=()):
@@ -84,9 +85,8 @@ class TowerModel:
             raise ValueError("ground group must be finite")
         self.ground = ground
         self.layers = tuple(layers)
-        self.ground_elements = list(ground.elements())
-        self.ground_zero = 0  # odometer order puts the zero element first
-        sizes = [len(self.ground_elements)]
+        sizes = [ground.size]
+        _check_stage_size(0, sizes[0], sizes[0])
         for i, layer in enumerate(self.layers):
             if not isinstance(layer, Layer):
                 raise TypeError("layers must be Layer instances")
@@ -96,7 +96,10 @@ class TowerModel:
                     f"stage below has {sizes[-1]} elements"
                 )
             sizes.append(sizes[-1] * layer.q)
+            _check_stage_size(i + 1, sizes[-1], sizes[0])
         self.sizes = tuple(sizes)
+        self.ground_elements = list(ground.elements())
+        self.ground_zero = 0  # odometer order puts the zero element first
         n = len(self.ground_elements)
         self.add_table = tuple(
             tuple(
@@ -261,7 +264,7 @@ def build_ladder(tower: TowerModel, min_order: int = 2) -> ActionLadder:
     memo = {1: tower.add_table}  # powers of the stage below's one-step table
     for stage in range(1, tower.depth + 1):
         layer = tower.layers[stage - 1]
-        op = build_diff_operator(*_prime_power(layer.q), min_order)
+        op = build_diff_operator(*prime_power(layer.q), min_order)
         columns = [
             _diagonal_sums(op, memo, layer.kappa, y) for y in range(tower.size(0))
         ]

@@ -159,6 +159,29 @@ class TestTowerVerify:
         assert code == 2
         assert "prime power" in report["error"]
 
+    @pytest.mark.parametrize(
+        "ground, layers",
+        [
+            ([4], [{"q": str(2**61), "kappa": {}}]),
+            ([4], [{"q": 8, "kappa": {}}] * 8),
+            ([100000], []),
+        ],
+        ids=["modulus_2_61", "eight_layers_of_8", "ground_100000"],
+    )
+    def test_oversized_stage_exits_2_quickly(self, capsys, tmp_path, ground, layers):
+        path = tmp_path / "big.json"
+        path.write_text(
+            canonical_json(
+                {"format_version": "1", "kind": "tower", "ground": ground,
+                 "layers": layers}
+            )
+        )
+        started = time.perf_counter()
+        code, report, _ = run(capsys, "tower", "verify", str(path))
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        assert "too large" in report["error"]
+
     def test_unreadable_file_exits_2(self, capsys, tmp_path):
         code, report, _ = run(capsys, "tower", "verify", str(tmp_path / "no.json"))
         assert code == 2

@@ -10,7 +10,6 @@ from extdecide.tower import (
     ActionLadder,
     Layer,
     TowerModel,
-    _prime_power,
     build_ladder,
     enumerate_lifts,
     random_tower,
@@ -70,12 +69,17 @@ class TestCarriers:
             Layer(q=SEMIPRIME, kappa=[0, 0])
         assert time.perf_counter() - started < 2.0
 
-    def test_prime_power_split(self):
-        assert _prime_power(8) == (2, 3)
-        assert _prime_power(2**61) == (2, 61)
-        assert _prime_power(2**89 - 1) == (2**89 - 1, 1)  # a Mersenne prime
-        for q in (0, 1, 12, 36, SEMIPRIME):
-            assert _prime_power(q) is None
+    def test_stage_size_capped(self):
+        # size(stage) x size(0) at most 200,000: the largest tower_audit
+        # shapes, 16 x 16 x 27 x 25 = 172,800, still fit
+        for ground in ((16,), (2, 8)):
+            assert flat_tower(ground, [27, 25]).sizes == (16, 432, 10800)
+        with pytest.raises(ValueError, match="stage 2 too large"):
+            flat_tower((16,), [27, 29])  # 200,448 entries
+        with pytest.raises(ValueError, match="stage 1 too large"):
+            TowerModel(FgAbGroup((4,)), [Layer(q=2**61, kappa=[0] * 4)])
+        with pytest.raises(ValueError, match="stage 0 too large"):
+            TowerModel(FgAbGroup((448,)))
 
     def test_kappa_length_checked(self):
         with pytest.raises(ValueError):
