@@ -15,7 +15,7 @@ from .abelian import (
 )
 from .diffcalc import (
     ActionAlgebra,
-    CongruenceReport,
+    AuditReport,
     DiffOperator,
     GValuedMap,
     build_diff_operator,
@@ -28,7 +28,6 @@ from .diffcalc import (
 )
 from .tower import (
     ActionLadder,
-    LadderReport,
     Layer,
     TowerModel,
     build_ladder,
@@ -40,7 +39,6 @@ from .tower import (
 from .decide import (
     ExtensionInstance,
     GenParams,
-    InstanceReport,
     InvalidInstanceError,
     OracleUnavailableError,
     Verdict,
@@ -56,13 +54,13 @@ __version__ = "0.1.0"
 __all__ = [
     "FgAbGroup", "GroupElement", "GroupHom", "GroupMismatchError", "SnfResult",
     "snf", "primary_decomposition", "kernel", "solve",
-    "ActionAlgebra", "GValuedMap", "DiffOperator", "CongruenceReport",
+    "ActionAlgebra", "GValuedMap", "DiffOperator", "AuditReport",
     "difference", "derive", "build_diff_operator", "evaluate_diagonal",
     "check_congruence", "random_algebra", "random_map",
-    "Layer", "TowerModel", "ActionLadder", "LadderReport",
+    "Layer", "TowerModel", "ActionLadder",
     "build_ladder", "stage_act", "enumerate_lifts",
     "verify_ladder", "random_tower",
-    "ExtensionInstance", "Verdict", "InstanceReport", "GenParams",
+    "ExtensionInstance", "Verdict", "GenParams",
     "InvalidInstanceError", "OracleUnavailableError",
     "validate_instance", "representative_set", "decide", "brute_force",
     "generate_instance",

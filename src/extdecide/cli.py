@@ -8,7 +8,8 @@ stdout; a human-readable summary goes to stderr (suppress it with
 emitted, so NO_COLOR needs no special handling.
 
 Exit codes: 0 success/verified, 1 semantic failure (violations, verdict
-disagreement), 2 input error (bad arguments or unparseable files),
+disagreement), 2 input error (bad arguments, unparseable or malformed
+files, integers past Python's digit limit, operators out of bounds),
 3 unsupported-mode refusal (e.g. --oracle on an infinite ground group),
 4 internal error (any other exception; the report then carries the
 exception's type and message under "error" and a null result).
@@ -145,12 +146,20 @@ def _read_json(path: Path):
         raise ff.FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), ff.digest(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # bad UTF-8, bad JSON, and integer literals past Python's digit limit
+    except ValueError as exc:
         raise ff.FileFormatError(f"{path}: {exc}") from exc
 
 
+def _built_operator(args):
+    try:
+        return build_diff_operator(args.p, args.m, args.l0)
+    except ValueError as exc:  # outside diffcalc's operator bounds
+        raise ff.FileFormatError(str(exc)) from exc
+
+
 def cmd_diff_build(args, report):
-    op = build_diff_operator(args.p, args.m, args.l0)
+    op = _built_operator(args)
     report["result"] = {"operator": ff.dump_operator(op)}
     if args.out:
         text = ff.canonical_json(ff.dump_operator(op))
@@ -174,7 +183,7 @@ def cmd_diff_check(args, report):
             raise ff.FileFormatError(
                 "either --operator or all of --p/--m/--l0 are required"
             )
-        op = build_diff_operator(args.p, args.m, args.l0)
+        op = _built_operator(args)
     report["seed"] = args.seed
     rng = random.Random(args.seed)
     q = op.q
@@ -212,7 +221,10 @@ def cmd_tower_verify(args, report):
     data, input_digest = _read_json(args.file)
     report["input_digest"] = input_digest
     tower = ff.load_tower(data)
-    ladder = build_ladder(tower, min_order=args.l0)
+    try:
+        ladder = build_ladder(tower, min_order=args.l0)
+    except ValueError as exc:  # a layer's operator outside diffcalc's bounds
+        raise ff.FileFormatError(f"$.layers: {exc}") from exc
     audit = verify_ladder(tower, ladder)
     report["result"] = {
         "stages": list(tower.sizes),

@@ -25,11 +25,11 @@ import random
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupElement, GroupHom, kernel, solve
+from .diffcalc import AuditReport
 
 __all__ = [
     "ExtensionInstance",
     "Verdict",
-    "InstanceReport",
     "InvalidInstanceError",
     "OracleUnavailableError",
     "GenParams",
@@ -69,6 +69,14 @@ class ExtensionInstance:
     (identity is the convention): translation by theta along a Z summand
     leaves any finite window of classes, so no finite table can be
     semantically faithful there, and validation does not audit them.
+
+    Construction (dataclasses.replace included) checks the structure and
+    raises InvalidInstanceError on the first breach: distinct
+    identifiers, theta >= 1, target_class an a-class, target_ground in
+    ga, restriction from gx to ga, every table keyed by exactly its
+    classes, projections into the right ground group, restrictions onto
+    a-classes, and action rows of one class per ground generator.  The
+    axioms are validate_instance's to audit.
     """
 
     gx: FgAbGroup
@@ -84,6 +92,41 @@ class ExtensionInstance:
     target_class: object
     act_x: dict
     act_a: dict
+
+    def __post_init__(self):
+        xs, as_ = set(self.x_classes), set(self.a_classes)
+        gx, ga = self.gx, self.ga
+        for ok, what in (
+            (len(xs) == len(self.x_classes), "duplicate x-class identifiers"),
+            (len(as_) == len(self.a_classes), "duplicate a-class identifiers"),
+            (self.theta >= 1, "theta must be >= 1"),
+            (self.target_class in as_, "target_class is not an a-class"),
+            (self.target_ground.group == ga, "target_ground is not in ga"),
+            (self.restriction.source == gx and self.restriction.target == ga,
+             "restriction does not map gx to ga"),
+        ):
+            if not ok:
+                raise InvalidInstanceError(f"malformed instance: {what}")
+        for name, table, keys, ok in (
+            ("proj_x", self.proj_x, xs,
+             lambda v: isinstance(v, GroupElement) and v.group == gx),
+            ("proj_a", self.proj_a, as_,
+             lambda v: isinstance(v, GroupElement) and v.group == ga),
+            ("restrict_class", self.restrict_class, xs, as_.__contains__),
+            ("act_x", self.act_x, xs,
+             lambda row: len(row) == gx.rank and xs.issuperset(row)),
+            ("act_a", self.act_a, as_,
+             lambda row: len(row) == ga.rank and as_.issuperset(row)),
+        ):
+            if table.keys() != keys:
+                raise InvalidInstanceError(
+                    f"malformed instance: {name} is not keyed by its classes"
+                )
+            for key, value in table.items():
+                if not ok(value):
+                    raise InvalidInstanceError(
+                        f"malformed instance: {name}[{key!r}] is out of range"
+                    )
 
 
 @dataclass(frozen=True)
@@ -102,21 +145,8 @@ class Verdict:
     rep_count: int = 0
 
 
-@dataclass(frozen=True)
-class InstanceReport:
-    checks: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _generator_tables(ids, act):
+def _generator_tables(ids, act, rank):
     """Per-generator dict tables id -> id, from the stored tuples."""
-    if not ids:
-        return []
-    rank = len(next(iter(act.values()))) if act else 0
     return [{g: act[g][j] for g in ids} for j in range(rank)]
 
 
@@ -150,83 +180,34 @@ def _act_by_element(cycles, start, elem):
     bijection on every coordinate where elem is non-zero; the coordinate
     only indexes into the cycle, so the cost does not grow with it.
     Coordinates on infinite summands must be zero; their tables are
-    placeholders the caller is expected to have screened out.
+    placeholders the caller screens out.
     """
     g = start
-    for j, (n, order) in enumerate(zip(elem.coords, elem.group.orders)):
-        if order == 0:
-            if n:
-                raise InvalidInstanceError(
-                    "cannot act along an infinite-order generator"
-                )
-            continue
+    for j, n in enumerate(elem.coords):
         if n:
             cycle, pos = cycles[j][g]
             g = cycle[(pos + n) % len(cycle)]
     return g
 
 
-def _structural_violations(inst):
-    out = []
-    xs, as_ = set(inst.x_classes), set(inst.a_classes)
-    if len(xs) != len(inst.x_classes):
-        out.append(("duplicate_ids", "x"))
-    if len(as_) != len(inst.a_classes):
-        out.append(("duplicate_ids", "a"))
-    if inst.theta < 1:
-        out.append(("bad_theta", inst.theta))
-    if inst.target_class not in as_:
-        out.append(("unknown_target_class", inst.target_class))
-    if inst.target_ground.group != inst.ga:
-        out.append(("target_ground_group", None))
-    if inst.restriction.source != inst.gx or inst.restriction.target != inst.ga:
-        out.append(("restriction_groups", None))
-    for name, table, keys, check in (
-        ("proj_x", inst.proj_x, xs, lambda v: getattr(v, "group", None) == inst.gx),
-        ("proj_a", inst.proj_a, as_, lambda v: getattr(v, "group", None) == inst.ga),
-        ("restrict_class", inst.restrict_class, xs, lambda v: v in as_),
-    ):
-        if set(table) != keys:
-            out.append(("table_domain", name))
-            continue
-        for k, v in table.items():
-            if not check(v):
-                out.append(("table_value", name, k))
-    for name, act, keys, rank, universe in (
-        ("act_x", inst.act_x, xs, inst.gx.rank, xs),
-        ("act_a", inst.act_a, as_, inst.ga.rank, as_),
-    ):
-        if set(act) != keys:
-            out.append(("table_domain", name))
-            continue
-        for k, row in act.items():
-            if len(row) != rank:
-                out.append(("act_arity", name, k))
-            elif any(v not in universe for v in row):
-                out.append(("table_value", name, k))
-    return out
+def validate_instance(inst: ExtensionInstance) -> AuditReport:
+    """Exhaustive audit of every instance axiom.
 
-
-def validate_instance(inst: ExtensionInstance) -> InstanceReport:
-    """Exhaustive audit of every instance invariant.
-
-    Structure first (domains, arities, group membership); then the
-    distinguished class projects to the ground target, the square
-    commutes everywhere, and both stored actions really are actions of
-    their ground groups compatible with the projections and with the
-    restriction.  Generator-level checks (orders, bijectivity,
-    commutation) are sufficient: acting by an arbitrary element is
-    defined generator-wise, so additivity follows.
+    The structure was checked when the instance was built, and counts as
+    the first check.  The audit checks that the distinguished class
+    projects to the ground target, the square commutes everywhere, and
+    both stored actions really are actions of their ground groups
+    compatible with the projections and with the restriction.
+    Generator-level checks (orders, bijectivity, commutation) are
+    sufficient: acting by an arbitrary element is defined generator-wise,
+    so additivity follows.
 
     Generators of infinite-order summands are exempt: their tables are
     placeholders by convention and carry no checkable semantics over a
     finite class set.
     """
-    violations = list(_structural_violations(inst))
+    violations = []
     checks = 1
-    if violations:
-        return InstanceReport(checks=checks, violations=tuple(violations))
-
     if inst.proj_a[inst.target_class] != inst.target_ground:
         violations.append(("target_projection", inst.target_class))
     checks += 1
@@ -243,7 +224,7 @@ def validate_instance(inst: ExtensionInstance) -> InstanceReport:
     side_tables = {}
     side_cycles = {}
     for side, ids, act, proj, group in sides:
-        tables = _generator_tables(ids, act)
+        tables = _generator_tables(ids, act, group.rank)
         cycles = side_cycles[side] = [None] * group.rank
         side_tables[side] = tables
         for j in range(group.rank):
@@ -296,7 +277,7 @@ def validate_instance(inst: ExtensionInstance) -> InstanceReport:
                 if inst.restrict_class[side_tables["x"][j][g]] != expected:
                     violations.append(("restriction_naturality", j, g))
 
-    return InstanceReport(checks=checks, violations=tuple(violations))
+    return AuditReport(checks=checks, violations=tuple(violations))
 
 
 def representative_set(inst: ExtensionInstance):
@@ -343,15 +324,12 @@ def _fibers_of_proj_x(inst):
 def decide(inst: ExtensionInstance) -> Verdict:
     """YES iff the distinguished class is hit over some representative.
 
-    The structural checks and the target projection check of
-    validate_instance run first and raise on breach; run
-    validate_instance for the full audit.  The scan order is
-    deterministic: representatives in generation order, identifiers in
-    ascending order within each fiber, first hit wins.
+    The instance's structure was checked when it was built; the target
+    projection check of validate_instance runs first and raises on
+    breach.  Run validate_instance for the full axiom audit.  The scan
+    order is deterministic: representatives in generation order,
+    identifiers in ascending order within each fiber, first hit wins.
     """
-    breach = _structural_violations(inst)
-    if breach:
-        raise InvalidInstanceError(f"malformed instance: {breach[0]}")
     if inst.proj_a[inst.target_class] != inst.target_ground:
         raise InvalidInstanceError(
             "distinguished class does not project to the ground target"

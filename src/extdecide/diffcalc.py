@@ -31,7 +31,7 @@ __all__ = [
     "ActionAlgebra",
     "GValuedMap",
     "DiffOperator",
-    "CongruenceReport",
+    "AuditReport",
     "difference",
     "derive",
     "build_diff_operator",
@@ -40,6 +40,41 @@ __all__ = [
     "random_algebra",
     "random_map",
 ]
+
+
+# Bounds on every operator, built or loaded.  Evaluating one walks
+# order + 1 binomial weights per term, and the number of terms grows with
+# the modulus q = p^m, so a bound on m alone would still let p raise it
+# (p = 61, m = 4 has 13,068 terms); bounding q bounds m (m <= 16) and p
+# together.  Strides and theta are iteration counts, each costing a
+# doubling step per bit; no operator within the first two bounds has a
+# larger one than their product (the largest theta is 2^21).  The
+# costliest operator inside, p = 2, m = 16 at order 64, has 2,726 terms.
+_MAX_ORDER = 64
+_MAX_MODULUS = 2**16
+_MAX_STRIDE = _MAX_ORDER * _MAX_MODULUS
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """Outcome of an exhaustive audit: the number of checks made and the
+    violations found, in the order found."""
+
+    checks: int
+    violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def _check_bounds(p: int, m: int, order: int):
+    if order > _MAX_ORDER:
+        raise ValueError(f"order must be <= {_MAX_ORDER}")
+    # p >= 2, so an m past the bound's bit length already breaks it;
+    # testing m first keeps a huge m from forming p**m
+    if m >= _MAX_MODULUS.bit_length() or p**m > _MAX_MODULUS:
+        raise ValueError(f"modulus p^m must be <= {_MAX_MODULUS}")
 
 
 def iterated_table(memo: dict, times: int):
@@ -189,7 +224,9 @@ class DiffOperator:
     terms are (coefficient, stride) pairs with coefficients canonical in
     [1, q), strides positive, sorted by descending stride.  The operator
     is independent of any particular map; theta = p^(m0 + m - 1) is the
-    scale at which the congruence it encodes holds.
+    scale at which the congruence it encodes holds.  order, q and every
+    stride and theta stay within the module's bounds (_MAX_ORDER,
+    _MAX_MODULUS, _MAX_STRIDE).
     """
 
     p: int
@@ -207,12 +244,17 @@ class DiffOperator:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        _check_bounds(self.p, self.m, self.order)
+        if self.theta > _MAX_STRIDE:
+            raise ValueError(f"theta must be <= {_MAX_STRIDE}")
         q = self.q
         for coeff, stride in self.terms:
             if not 0 < coeff < q:
                 raise ValueError(f"coefficient {coeff} not canonical mod {q}")
             if stride < 1:
                 raise ValueError("strides must be positive")
+            if stride > _MAX_STRIDE:
+                raise ValueError(f"strides must be <= {_MAX_STRIDE}")
 
 
 def _p_adic_split(j: int, p: int):
@@ -257,7 +299,8 @@ def build_diff_operator(p: int, m: int, min_order: int) -> DiffOperator:
 
     The difference order is the least positive power p^m0 (m0 >= 1) that
     is >= min_order; theta comes out as p^(m0 + m - 1).  The result is a
-    pure formal expression: building it never consults any map.
+    pure formal expression: building it never consults any map.  An
+    operator outside the module's bounds raises before any term is built.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -265,9 +308,11 @@ def build_diff_operator(p: int, m: int, min_order: int) -> DiffOperator:
         raise ValueError("modulus exponent must be >= 1")
     if min_order < 1:
         raise ValueError("minimum order must be >= 1")
+    _check_bounds(p, m, min_order)  # the order is at least min_order
     m0 = 1
     while p**m0 < min_order:
         m0 += 1
+    _check_bounds(p, m, p**m0)
     terms = _operator_terms(p, m, m0, {})
     ordered = tuple(
         (terms[s], s) for s in sorted(terms, reverse=True)
@@ -346,17 +391,7 @@ def evaluate_diagonal(
     )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    checks: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_congruence(op: DiffOperator, f: GValuedMap) -> CongruenceReport:
+def check_congruence(op: DiffOperator, f: GValuedMap) -> AuditReport:
     """Exhaustive audit of f(x +_theta y) = f(x) + op(f)(x; y, .., y) mod q.
 
     Sweeps every (x, y) in S x T and reports, in row-major order, each
@@ -381,7 +416,7 @@ def check_congruence(op: DiffOperator, f: GValuedMap) -> CongruenceReport:
             ]
             if any(c % n for c, n in zip(residual, moduli)):
                 violations.append((x, y, f.target.element(residual)))
-    return CongruenceReport(
+    return AuditReport(
         checks=f.algebra.s_size * t_size, violations=tuple(violations)
     )
 

@@ -10,9 +10,10 @@ newline), so parse -> serialize is byte-stable and fixtures diff cleanly.
 Structural errors are reported with the JSON path of the offending value.
 
 Sparse tables: kappa tables and the per-generator action tables omit
-entries whose value is 0; a missing key means 0.  Identifiers may be
-integers or non-numeric strings (a string of digits would collide with
-the integer it spells, so it is rejected).
+entries whose value is 0; a missing key means 0.  The projection and
+restriction tables of an instance are dense: each class has an entry.
+Identifiers may be integers or non-numeric strings (a string of digits
+would collide with the integer it spells, so it is rejected).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import hashlib
 import json
 
 from .abelian import FgAbGroup, GroupHom
-from .decide import ExtensionInstance
+from .decide import ExtensionInstance, InvalidInstanceError
 from .diffcalc import DiffOperator
 from .tower import (
     _MAX_TABLE_ENTRIES,
@@ -65,15 +66,26 @@ def _enc_int(v: int):
     return str(v) if abs(v) > _SAFE_INT else v
 
 
+def _digits(v: str, path: str):
+    """The integer a decimal string spells, or None if it spells none."""
+    stripped = v[1:] if v.startswith("-") else v
+    if not stripped.isdigit():
+        return None
+    try:
+        return int(v)
+    except ValueError:  # past Python's int-from-str digit limit
+        raise FileFormatError(f"{path}: integer has too many digits") from None
+
+
 def _dec_int(v, path: str) -> int:
     if isinstance(v, bool):
         raise FileFormatError(f"{path}: expected an integer, got a boolean")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        stripped = v[1:] if v.startswith("-") else v
-        if stripped.isdigit():
-            return int(v)
+        value = _digits(v, path)
+        if value is not None:
+            return value
     raise FileFormatError(f"{path}: expected an integer, got {v!r}")
 
 
@@ -83,10 +95,8 @@ def _dec_id(v, path: str):
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        stripped = v[1:] if v.startswith("-") else v
-        if stripped.isdigit():
-            return int(v)
-        return v
+        value = _digits(v, path)
+        return v if value is None else value
     raise FileFormatError(f"{path}: identifiers must be integers or strings")
 
 
@@ -214,14 +224,16 @@ def load_tower(data) -> TowerModel:
     for i, entry in enumerate(_as_list(_get(data, "layers", "$"), "$.layers")):
         path = f"$.layers[{i}]"
         q = _dec_int(_get(entry, "q", path), f"{path}.q")
-        # kappa has size(i) entries, and stage i already passed the cap
+        # kappa has size(i) entries, and stage i already passed the cap;
+        # the cap on stage i + 1 comes before Layer's prime-power test,
+        # whose cost grows with the digits of q
         kappa = _load_sparse_ints(_get(entry, "kappa", path), size, f"{path}.kappa")
         try:
+            _check_stage_size(i + 1, size * q, ground.size)
             layers.append(Layer(q=q, kappa=kappa))
-            size *= q
-            _check_stage_size(i + 1, size, ground.size)
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
+        size *= q
     try:
         return TowerModel(ground, layers)
     except ValueError as exc:
@@ -311,6 +323,12 @@ def _load_ids(data, path: str):
     return tuple(ids)
 
 
+def _check_dense(table, ids, path: str):
+    missing = [g for g in ids if g not in table]
+    if missing:
+        raise FileFormatError(f"{path}: missing entries for {missing[:5]}")
+
+
 def _load_proj(data, ids, group, path: str):
     table = _as_dict(data, path)
     out = {}
@@ -323,8 +341,7 @@ def _load_proj(data, ids, group, path: str):
             out[g] = group.element(_int_list(coords, f"{path}.{key}"))
         except ValueError as exc:
             raise FileFormatError(f"{path}.{key}: {exc}") from exc
-    for g in ids:
-        out.setdefault(g, group.zero())
+    _check_dense(out, ids, path)
     return out
 
 
@@ -400,18 +417,17 @@ def load_instance(data) -> ExtensionInstance:
         if g not in known_x or val not in known_a:
             raise FileFormatError(f"$.tables.restrict.{key}: unknown identifier")
         restrict_class[g] = val
-    missing = known_x - set(restrict_class)
-    if missing:
-        raise FileFormatError(
-            f"$.tables.restrict: missing entries for {sorted(missing)[:5]}"
-        )
+    _check_dense(restrict_class, x_classes, "$.tables.restrict")
     act_x = _load_act(_get(tables, "act_x", "$.tables"), x_classes, gx.rank,
                       "$.tables.act_x")
     act_a = _load_act(_get(tables, "act_a", "$.tables"), a_classes, ga.rank,
                       "$.tables.act_a")
-    return ExtensionInstance(
-        gx=gx, ga=ga, restriction=restriction, target_ground=target_ground,
-        theta=theta, x_classes=x_classes, a_classes=a_classes,
-        proj_x=proj_x, proj_a=proj_a, restrict_class=restrict_class,
-        target_class=target_class, act_x=act_x, act_a=act_a,
-    )
+    try:
+        return ExtensionInstance(
+            gx=gx, ga=ga, restriction=restriction, target_ground=target_ground,
+            theta=theta, x_classes=x_classes, a_classes=a_classes,
+            proj_x=proj_x, proj_a=proj_a, restrict_class=restrict_class,
+            target_class=target_class, act_x=act_x, act_a=act_a,
+        )
+    except InvalidInstanceError as exc:
+        raise FileFormatError(f"$: {exc}") from exc

@@ -25,13 +25,17 @@ from functools import cached_property
 
 from ._primes import prime_power
 from .abelian import FgAbGroup
-from .diffcalc import _diagonal_sums, build_diff_operator, iterated_table
+from .diffcalc import (
+    AuditReport,
+    _diagonal_sums,
+    build_diff_operator,
+    iterated_table,
+)
 
 __all__ = [
     "Layer",
     "TowerModel",
     "ActionLadder",
-    "LadderReport",
     "build_ladder",
     "stage_act",
     "enumerate_lifts",
@@ -322,17 +326,7 @@ def enumerate_lifts(tower: TowerModel, labels, assignment, stage: int):
     ]
 
 
-@dataclass(frozen=True)
-class LadderReport:
-    checks: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_ladder(tower: TowerModel, ladder: ActionLadder) -> LadderReport:
+def verify_ladder(tower: TowerModel, ladder: ActionLadder) -> AuditReport:
     """Exhaustive audit over every stage and every (point, ground) pair.
 
     Checks: the scale chain divides (each stage scale divides the next and
@@ -399,7 +393,7 @@ def verify_ladder(tower: TowerModel, ladder: ActionLadder) -> LadderReport:
                 if full[x][y] // q != at_common[stage - 1][x // q][y]:
                     violations.append(("equivariance_common", stage, x, y))
 
-    return LadderReport(checks=checks, violations=tuple(violations))
+    return AuditReport(checks=checks, violations=tuple(violations))
 
 
 def random_tower(rng, qs=(2, 3, 4, 8, 9), max_layers: int = 2) -> TowerModel:

@@ -157,7 +157,9 @@ class TestTowerVerify:
         code, report, _ = run(capsys, "tower", "verify", str(path))
         assert time.perf_counter() - started < 2.0
         assert code == 2
-        assert "prime power" in report["error"]
+        # any q past the stage cap fails it, prime power or not, and the
+        # cap comes before the prime-power test
+        assert "too large" in report["error"]
 
     @pytest.mark.parametrize(
         "ground, layers",
@@ -248,6 +250,118 @@ class TestDecideCommand:
         code, report, _ = run(capsys, "decide", str(path))
         assert code == 0
         assert report["result"]["verdict"]["answer"] == "YES"
+
+
+    def test_no_x_classes_with_oracle(self, capsys, tmp_path):
+        data = dump_instance(generate_instance(9))
+        data["classes"]["x"] = []
+        data["tables"]["proj_x"] = {}
+        data["tables"]["restrict"] = {}
+        data["tables"]["act_x"] = [{} for _ in data["tables"]["act_x"]]
+        path = tmp_path / "empty.json"
+        path.write_text(canonical_json(data))
+        code, report, _ = run(capsys, "decide", str(path), "--oracle")
+        assert code == 0
+        assert report["result"]["oracle_agrees"] is True
+        assert report["result"]["verdict"]["answer"] == "NO"
+
+    def test_one_structural_pass_per_run(self, capsys, tmp_path, monkeypatch):
+        from extdecide.decide import ExtensionInstance
+
+        calls = []
+        check = ExtensionInstance.__post_init__
+
+        def counted(inst):
+            calls.append(inst)
+            check(inst)
+
+        monkeypatch.setattr(ExtensionInstance, "__post_init__", counted)
+        _, path = self.write_instance(tmp_path, 3, desired="YES")
+        calls.clear()
+        code, _, _ = run(capsys, "decide", str(path))
+        assert code == 0
+        assert len(calls) == 1
+
+
+def _no_small_factor(digits):
+    """The least n >= 10^(digits-1) + 1 with no prime factor below 1000."""
+    small = [p for p in range(2, 1000) if all(p % d for d in range(2, p))]
+    n = 10 ** (digits - 1) + 1
+    while any(n % p == 0 for p in small):
+        n += 2
+    return n
+
+
+def _tower_text(q):
+    return canonical_json(
+        {"format_version": "1", "kind": "tower", "ground": [2],
+         "layers": [{"q": q, "kappa": {}}]}
+    )
+
+
+def _instance_text(coord):
+    data = dump_instance(generate_instance(9))
+    data["tables"]["proj_x"]["1"][0] = coord
+    return canonical_json(data)
+
+
+def _dense_breach_text():
+    data = dump_instance(generate_instance(0))
+    del data["tables"]["proj_x"]["15"]
+    return canonical_json(data)
+
+
+def _theta_0_text():
+    data = dump_instance(generate_instance(0))
+    data["scalars"]["theta"] = 0
+    return canonical_json(data)
+
+
+LONG = "1" * 5000
+OP_ORDER_1E9 = canonical_json(
+    {"format_version": "1", "kind": "diff_operator", "p": 2, "m": 2,
+     "order": 1000000000, "theta": 8, "terms": [[1, 2], [2, 1]]}
+)
+
+# (id, file text or None, argv with {} for the file path, expected error part)
+HOSTILE = [
+    ("build_l0_1e9", None, ["diff", "build", "--p", "2", "--m", "1", "--l0", "1000000000"], "order"),
+    ("build_m_1e5", None, ["diff", "build", "--p", "2", "--m", "100000", "--l0", "2"], "modulus"),
+    ("check_m_1e5", None, ["diff", "check", "--p", "2", "--m", "100000", "--l0", "2"], "modulus"),
+    ("operator_order_1e9", OP_ORDER_1E9, ["diff", "check", "--operator", "{}"], "order"),
+    ("tower_q_49999", _tower_text(49999), ["tower", "verify", "{}"], "order"),
+    ("tower_l0_1e9", _tower_text(2), ["tower", "verify", "{}", "--l0", "1000000000"], "order"),
+    ("tower_q_long_string", _tower_text(LONG), ["tower", "verify", "{}"], "too many digits"),
+    ("tower_q_long_literal", _tower_text(0).replace('"q": 0', '"q": ' + LONG),
+     ["tower", "verify", "{}"], "4300"),
+    ("tower_q_4000_digits", _tower_text(str(_no_small_factor(4000))),
+     ["tower", "verify", "{}"], "too large"),
+    ("coord_long_string", _instance_text(LONG), ["decide", "{}"], "too many digits"),
+    ("coord_long_literal", _instance_text(LONG).replace('"' + LONG + '"', LONG),
+     ["decide", "{}"], "4300"),
+    ("proj_x_missing_entry", _dense_breach_text(), ["decide", "{}"], "missing entries"),
+    ("theta_0", _theta_0_text(), ["decide", "{}"], "malformed instance"),
+]
+
+
+class TestHostileInputs:
+    """Each ends within 2 s with one report, exit 2 and an error that
+    repeats none of the input's digits."""
+
+    @pytest.mark.parametrize(
+        "text, argv, part", [h[1:] for h in HOSTILE], ids=[h[0] for h in HOSTILE]
+    )
+    def test_exits_2_quickly(self, capsys, tmp_path, text, argv, part):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = [a.replace("{}", str(path)) for a in argv]
+        started = time.perf_counter()
+        code, report, _ = run(capsys, *argv)
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        assert part in report["error"]
+        assert "1111111111" not in report["error"]
 
 
 class TestGen:

@@ -89,6 +89,41 @@ class TestGenerator:
             generate_instance(0, theta=0)
 
 
+def _breaches(inst):
+    """(label, replace() changes) pairs, each breaking one structural rule."""
+    x0, a0 = inst.x_classes[0], inst.a_classes[0]
+    other = FgAbGroup((7,))
+    return [
+        ("duplicate_x", {"x_classes": inst.x_classes + (x0,)}),
+        ("duplicate_a", {"a_classes": inst.a_classes + (a0,)}),
+        ("theta_0", {"theta": 0}),
+        ("unknown_target_class", {"target_class": "nowhere"}),
+        ("target_ground_group", {"target_ground": other.zero()}),
+        ("restriction_groups", {"restriction": GroupHom.zero(inst.gx, other)}),
+        ("proj_x_domain", {"proj_x": {g: v for g, v in inst.proj_x.items() if g != x0}}),
+        ("proj_x_value", {"proj_x": {**inst.proj_x, x0: other.zero()}}),
+        ("proj_a_value", {"proj_a": {**inst.proj_a, a0: inst.gx.zero()}}),
+        ("restrict_value", {"restrict_class": {**inst.restrict_class, x0: "nowhere"}}),
+        ("restrict_domain", {"restrict_class": {**inst.restrict_class, "extra": a0}}),
+        ("act_x_arity", {"act_x": {**inst.act_x, x0: inst.act_x[x0] + (x0,)}}),
+        ("act_x_value", {"act_x": {**inst.act_x, x0: ("nowhere",) * inst.gx.rank}}),
+        ("act_a_domain", {"act_a": {g: v for g, v in inst.act_a.items() if g != a0}}),
+    ]
+
+
+class TestStructure:
+    """Construction checks the structure once; replace() re-runs it."""
+
+    @pytest.mark.parametrize(
+        "label", [label for label, _ in _breaches(generate_instance(3))]
+    )
+    def test_breach_raises(self, label):
+        inst = generate_instance(3)
+        changes = dict(_breaches(inst))[label]
+        with pytest.raises(InvalidInstanceError, match="malformed instance"):
+            dataclasses.replace(inst, **changes)
+
+
 class TestValidate:
     def test_relabel_target_detected(self):
         inst = generate_instance(7, theta=6)
@@ -175,6 +210,16 @@ class TestValidate:
         report = validate_instance(infinite_ground_instance())
         assert report.ok, report.violations
 
+    def test_no_x_classes(self):
+        # the generator rank comes from the group, not from an action row
+        inst = generate_instance(9)
+        empty = dataclasses.replace(
+            inst, x_classes=(), proj_x={}, restrict_class={}, act_x={}
+        )
+        report = validate_instance(empty)
+        assert report.ok, report.violations
+        assert decide(empty).answer == brute_force(empty).answer == "NO"
+
 
 class TestRepresentativeSet:
     def test_infinite_kernel_window(self):
@@ -207,14 +252,30 @@ class TestRepresentativeSet:
         assert reps == (h0,)
 
     def test_z3_kernel_dedup(self):
-        # restriction Z/3 + Z/5 -> Z/5 forgetting the first coordinate
+        # restriction Z/3 + Z/5 -> Z/5 forgetting the first coordinate,
+        # with one lift class over each ground element on either side
         gx = FgAbGroup((3, 5))
         ga = FgAbGroup((5,))
         restriction = GroupHom(gx, ga, [[0, 1]])
-        inst = generate_instance(0, theta=8)
-        shaped = dataclasses.replace(
-            inst, gx=gx, ga=ga, restriction=restriction,
-            target_ground=ga.element((2,)),
+        theta = 8
+        xs, as_ = list(gx.elements()), list(ga.elements())
+        shaped = ExtensionInstance(
+            gx=gx, ga=ga, restriction=restriction,
+            target_ground=ga.element((2,)), theta=theta,
+            x_classes=tuple(range(len(xs))), a_classes=tuple(range(len(as_))),
+            proj_x=dict(enumerate(xs)), proj_a=dict(enumerate(as_)),
+            restrict_class={
+                i: ga.index_of(restriction(h)) for i, h in enumerate(xs)
+            },
+            target_class=2,
+            act_x={
+                i: tuple(gx.index_of(h + theta * gx.generator(j)) for j in range(2))
+                for i, h in enumerate(xs)
+            },
+            act_a={
+                i: (ga.index_of(a + theta * ga.generator(0)),)
+                for i, a in enumerate(as_)
+            },
         )
         h0, reps = representative_set(shaped)
         assert len(reps) == 3

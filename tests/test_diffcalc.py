@@ -1,11 +1,15 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from extdecide.abelian import FgAbGroup
 from extdecide.diffcalc import (
+    _MAX_MODULUS,
+    _MAX_ORDER,
+    _MAX_STRIDE,
     ActionAlgebra,
     DiffOperator,
     GValuedMap,
@@ -175,6 +179,49 @@ class TestBuildOperator:
             a = random_algebra(rng, max_s=5, max_t=5)
             f = random_map(rng, a, FgAbGroup((9,)))
             assert check_congruence(op, f).ok
+
+
+class TestOperatorBounds:
+    def test_benchmark_grid_and_largest_build(self):
+        for p in (2, 3, 5, 7):
+            for m in (1, 2, 3, 4):
+                build_diff_operator(p, m, 2)
+        op = build_diff_operator(2, 16, _MAX_ORDER)
+        assert op.order == _MAX_ORDER and op.q == _MAX_MODULUS
+        assert max(s for _, s in op.terms) <= op.theta <= _MAX_STRIDE
+
+    @pytest.mark.parametrize(
+        "p, m, min_order, message",
+        [
+            (2, 1, 10**9, "order"),
+            (2, 1, _MAX_ORDER + 1, "order"),
+            (3, 1, 28, "order"),  # rounds up to 81
+            (67, 1, 1, "order"),  # the order is at least p
+            (2, 10**5, 2, "modulus"),
+            (2, 17, 2, "modulus"),
+            (61, 3, 61, "modulus"),
+        ],
+    )
+    def test_build_rejects_quickly(self, p, m, min_order, message):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            build_diff_operator(p, m, min_order)
+        assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"order": 10**9}, "order"),
+            ({"m": 10**6}, "modulus"),
+            ({"p": 2**17, "m": 1, "terms": ((1, 1),)}, "modulus"),
+            ({"theta": _MAX_STRIDE + 1}, "theta"),
+            ({"terms": ((1, _MAX_STRIDE + 1),)}, "strides"),
+        ],
+    )
+    def test_operator_rejects(self, fields, message):
+        base = dict(p=2, m=2, order=4, theta=8, terms=((1, 2), (2, 1)))
+        with pytest.raises(ValueError, match=message):
+            DiffOperator(**{**base, **fields})
 
 
 class TestEvaluateDiagonal:

@@ -103,6 +103,18 @@ class TestTowerFiles:
         assert data["thetas"] == list(ladder.thetas)
 
 
+def _rename_x_classes(data):
+    """Rename x-class i to "c<i>", so that 0, the sparse action default,
+    names no x-class."""
+    tables = data["tables"]
+    data["classes"]["x"] = [f"c{g}" for g in data["classes"]["x"]]
+    for key in ("proj_x", "restrict"):
+        tables[key] = {f"c{g}": v for g, v in tables[key].items()}
+    tables["act_x"] = [
+        {f"c{g}": f"c{v}" for g, v in t.items()} for t in tables["act_x"]
+    ]
+
+
 class TestInstanceFiles:
     @pytest.mark.parametrize("seed", range(15))
     def test_roundtrip_and_validity(self, seed):
@@ -124,6 +136,42 @@ class TestInstanceFiles:
         for j, table in enumerate(data["tables"]["act_x"]):
             for g in inst.x_classes:
                 assert table.get(str(g), 0) == inst.act_x[g][j]
+
+    def test_projections_are_dense(self):
+        data = dump_instance(generate_instance(0))
+        assert any(data["tables"]["proj_x"]["15"])
+        del data["tables"]["proj_x"]["15"]
+        with pytest.raises(FileFormatError, match=r"\$\.tables\.proj_x: missing"):
+            load_instance(data)
+        data = dump_instance(generate_instance(0))
+        del data["tables"]["proj_a"]["0"]
+        with pytest.raises(FileFormatError, match=r"\$\.tables\.proj_a: missing"):
+            load_instance(data)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["scalars"].update(theta=0),
+            lambda d: d["distinguished"].update(target_class="nowhere"),
+            lambda d: _rename_x_classes(d),
+        ],
+        ids=["theta_0", "unknown_target_class", "sparse_default_not_an_id"],
+    )
+    def test_structural_fault_is_a_format_error(self, edit):
+        data = dump_instance(generate_instance(0))
+        edit(data)
+        with pytest.raises(FileFormatError, match=r"^\$: malformed instance"):
+            load_instance(data)
+
+    @pytest.mark.parametrize(
+        "value", ["1" * 5000, "-" + "1" * 5000], ids=["positive", "negative"]
+    )
+    def test_overlong_integer_string(self, value):
+        data = dump_instance(generate_instance(2))
+        data["tables"]["proj_x"]["0"][0] = value
+        with pytest.raises(FileFormatError, match="too many digits") as info:
+            load_instance(data)
+        assert "1" * 50 not in str(info.value)
 
     def test_position_annotated_error(self):
         data = dump_instance(generate_instance(2))
