@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from ._primes import factorize
@@ -239,15 +240,16 @@ class GroupHom:
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
         return cls(source, target, [[0] * source.rank for _ in range(target.rank)])
 
+    def apply(self, coords) -> tuple:
+        """Canonical coordinates of the image of canonical source
+        coordinates, on plain ints."""
+        image = [sum(map(operator.mul, row, coords)) for row in self.matrix]
+        return tuple([v % q if q else v for v, q in zip(image, self.target.orders)])
+
     def __call__(self, elem: GroupElement) -> GroupElement:
         if elem.group != self.source:
             raise GroupMismatchError("element does not belong to the source group")
-        return self.target.element(
-            [
-                sum(m * c for m, c in zip(row, elem.coords))
-                for row in self.matrix
-            ]
-        )
+        return GroupElement(self.target, self.apply(elem.coords))
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self after inner: (self.compose(inner))(x) == self(inner(x))."""

@@ -35,6 +35,7 @@ from .decide import (
     validate_instance,
 )
 from .decide import decide as run_decide
+from .diffcalc import _MAX_MODULUS
 from .diffcalc import build_diff_operator, check_congruence, random_algebra, random_map
 from .abelian import FgAbGroup
 from .tower import build_ladder, verify_ladder
@@ -44,6 +45,9 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
+
+# `diff check` draws operation tables of up to max_s * max_t entries
+MAX_ALGEBRA_ENTRIES = 2**16
 
 
 def _integer(accept, message: str):
@@ -62,7 +66,8 @@ def _integer(accept, message: str):
     return parse
 
 
-_prime = _integer(is_prime, "{} is not prime")
+# a p past the operator bounds skips is_prime, whose cost grows with its digits
+_prime = _integer(lambda v: v > _MAX_MODULUS or is_prime(v), "{} is not prime")
 _positive = _integer(lambda v: v >= 1, "value must be >= 1")
 _non_negative = _integer(lambda v: v >= 0, "value must be >= 0")
 
@@ -146,8 +151,8 @@ def _read_json(path: Path):
         raise ff.FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), ff.digest(raw)
-    # bad UTF-8, bad JSON, and integer literals past Python's digit limit
-    except ValueError as exc:
+    # bad UTF-8 or JSON, integer literals or nesting past Python's limits
+    except (ValueError, RecursionError) as exc:
         raise ff.FileFormatError(f"{path}: {exc}") from exc
 
 
@@ -174,6 +179,10 @@ def cmd_diff_build(args, report):
 
 
 def cmd_diff_check(args, report):
+    if args.max_s * args.max_t > MAX_ALGEBRA_ENTRIES:
+        raise ff.FileFormatError(
+            f"--max-s times --max-t must be <= {MAX_ALGEBRA_ENTRIES}"
+        )
     if args.operator:
         data, input_digest = _read_json(args.operator)
         report["input_digest"] = input_digest

@@ -205,6 +205,10 @@ def validate_instance(inst: ExtensionInstance) -> AuditReport:
     Generators of infinite-order summands are exempt: their tables are
     placeholders by convention and carry no checkable semantics over a
     finite class set.
+
+    Per-class checks compare plain ints: projections are read as coordinate
+    tuples once, the square maps each distinct tuple through the matrix
+    once, and naturality shifts coordinate j by theta mod its order.
     """
     violations = []
     checks = 1
@@ -212,18 +216,21 @@ def validate_instance(inst: ExtensionInstance) -> AuditReport:
         violations.append(("target_projection", inst.target_class))
     checks += 1
 
+    coords_x = {g: e.coords for g, e in inst.proj_x.items()}
+    coords_a = {g: e.coords for g, e in inst.proj_a.items()}
+    image = {c: inst.restriction.apply(c) for c in set(coords_x.values())}
     for g in inst.x_classes:
         checks += 1
-        if inst.proj_a[inst.restrict_class[g]] != inst.restriction(inst.proj_x[g]):
+        if coords_a[inst.restrict_class[g]] != image[coords_x[g]]:
             violations.append(("square", g))
 
     sides = (
-        ("x", inst.x_classes, inst.act_x, inst.proj_x, inst.gx),
-        ("a", inst.a_classes, inst.act_a, inst.proj_a, inst.ga),
+        ("x", inst.x_classes, inst.act_x, coords_x, inst.gx),
+        ("a", inst.a_classes, inst.act_a, coords_a, inst.ga),
     )
     side_tables = {}
     side_cycles = {}
-    for side, ids, act, proj, group in sides:
+    for side, ids, act, coords, group in sides:
         tables = _generator_tables(ids, act, group.rank)
         cycles = side_cycles[side] = [None] * group.rank
         side_tables[side] = tables
@@ -236,11 +243,10 @@ def validate_instance(inst: ExtensionInstance) -> AuditReport:
             checks += 1
             if len(where) != len(ids):  # a bijection has no tails
                 violations.append(("not_bijective", side, j))
-            gen = group.generator(j)
-            shift = inst.theta * gen
             for g in ids:
                 checks += 1
-                if proj[tab[g]] != proj[g] + shift:
+                c, d = coords[g], coords[tab[g]]
+                if d != c[:j] + ((c[j] + inst.theta) % order,) + c[j + 1:]:
                     violations.append(("projection_naturality", side, j, g))
             for g in ids:
                 checks += 1

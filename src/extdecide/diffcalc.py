@@ -302,13 +302,14 @@ def build_diff_operator(p: int, m: int, min_order: int) -> DiffOperator:
     pure formal expression: building it never consults any map.  An
     operator outside the module's bounds raises before any term is built.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("modulus exponent must be >= 1")
     if min_order < 1:
         raise ValueError("minimum order must be >= 1")
-    _check_bounds(p, m, min_order)  # the order is at least min_order
+    # the order is at least min_order; bounds first, as is_prime's cost grows with p
+    _check_bounds(p, m, min_order)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     m0 = 1
     while p**m0 < min_order:
         m0 += 1

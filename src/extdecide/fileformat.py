@@ -309,18 +309,28 @@ def dump_instance(inst: ExtensionInstance) -> dict:
     }
 
 
-def _load_group(data, path: str) -> FgAbGroup:
+def _build(make, data, path: str, decode=_int_list):
+    """make(decoded data), with make's ValueError put at path; decoding
+    errors carry their own, deeper path."""
+    value = decode(data, path)
     try:
-        return FgAbGroup(_int_list(data, path))
+        return make(value)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _load_ids(data, path: str):
-    ids = [_dec_id(v, f"{path}[{i}]") for i, v in enumerate(_as_list(data, path))]
+    ids = [v if type(v) is int else _dec_id(v, f"{path}[{i}]")
+           for i, v in enumerate(_as_list(data, path))]
     if len(set(ids)) != len(ids):
         raise FileFormatError(f"{path}: duplicate identifiers")
     return tuple(ids)
+
+
+def _names(ids) -> dict:
+    """Each identifier under itself and under str(id): the class set, and
+    the decoding of every key written as str(id)."""
+    return {**dict(zip(map(str, ids), ids)), **dict(zip(ids, ids))}
 
 
 def _check_dense(table, ids, path: str):
@@ -329,60 +339,69 @@ def _check_dense(table, ids, path: str):
         raise FileFormatError(f"{path}: missing entries for {missing[:5]}")
 
 
-def _load_proj(data, ids, group, path: str):
-    table = _as_dict(data, path)
+def _load_proj(data, ids, names, group, path: str):
+    rank = group.rank
+    boxed = {}  # each distinct row of plain ints is reduced and boxed once
     out = {}
-    known = set(ids)
-    for key, coords in table.items():
-        g = _dec_id(key, f"{path}.{key}")
-        if g not in known:
-            raise FileFormatError(f"{path}.{key}: unknown identifier")
-        try:
-            out[g] = group.element(_int_list(coords, f"{path}.{key}"))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}.{key}: {exc}") from exc
+    for key, coords in _as_dict(data, path).items():
+        g = names.get(key)
+        if g is None:
+            g = _dec_id(key, f"{path}.{key}")
+            if g not in names:
+                raise FileFormatError(f"{path}.{key}: unknown identifier")
+        if (type(coords) is list and len(coords) == rank
+                and all(type(c) is int for c in coords)):
+            row = tuple(coords)
+            out[g] = boxed.get(row) or boxed.setdefault(row, group.element(row))
+        else:
+            out[g] = _build(group.element, coords, f"{path}.{key}")
     _check_dense(out, ids, path)
     return out
 
 
-def _load_act(data, ids, rank: int, path: str):
+def _load_id_table(data, keys, values, path: str) -> dict:
+    """An identifier -> identifier object, given the _names of the key and
+    value classes; pairs not written as str(id) -> int id are decoded."""
+    out = {}
+    for key, v in _as_dict(data, path).items():
+        g = keys.get(key)
+        if g is None or type(v) is not int or v not in values:
+            g = _dec_id(key, f"{path}.{key}")
+            v = _dec_id(v, f"{path}.{key}")
+            if g not in keys or v not in values:
+                raise FileFormatError(f"{path}.{key}: unknown identifier")
+        out[g] = v
+    return out
+
+
+def _load_act(data, ids, names, rank: int, path: str):
     entries = _as_list(data, path)
     if len(entries) != rank:
         raise FileFormatError(
             f"{path}: expected {rank} generator tables, got {len(entries)}"
         )
-    known = set(ids)
-    per_gen = []
-    total = 0
+    columns = []
     for j, table in enumerate(entries):
-        tab = {}
-        for key, v in _as_dict(table, f"{path}[{j}]").items():
-            g = _dec_id(key, f"{path}[{j}].{key}")
-            val = _dec_id(v, f"{path}[{j}].{key}")
-            if g not in known or val not in known:
-                raise FileFormatError(f"{path}[{j}].{key}: unknown identifier")
-            tab[g] = val
-        for g in ids:
-            tab.setdefault(g, 0)  # sparse default
-        total += len(tab)
-        per_gen.append(tab)
-    if total > _MAX_TABLE_ENTRIES:
-        raise FileFormatError(f"{path}: table too large ({total} entries)")
-    return {g: tuple(per_gen[j][g] for j in range(rank)) for g in ids}
+        tab = _load_id_table(table, names, names, f"{path}[{j}]")
+        columns.append([tab.get(g, 0) for g in ids])  # 0 is the sparse default
+    if rank * len(ids) > _MAX_TABLE_ENTRIES:
+        raise FileFormatError(f"{path}: table too large ({rank * len(ids)} entries)")
+    return dict(zip(ids, zip(*columns) if rank else [()] * len(ids)))
 
 
 def load_instance(data) -> ExtensionInstance:
+    """Decode an instance file.  Each class list is decoded once; table
+    entries written canonically map through one dict per list, and only
+    other spellings are decoded one by one."""
     _check_header(data, "instance")
     groups = _get(data, "groups", "$")
-    gx = _load_group(_get(groups, "ground_x", "$.groups"), "$.groups.ground_x")
-    ga = _load_group(_get(groups, "ground_a", "$.groups"), "$.groups.ground_a")
-    homs = _get(data, "homs", "$")
-    try:
-        restriction = GroupHom(
-            gx, ga, _int_matrix(_get(homs, "restriction", "$.homs"), "$.homs.restriction")
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"$.homs.restriction: {exc}") from exc
+    gx = _build(FgAbGroup, _get(groups, "ground_x", "$.groups"), "$.groups.ground_x")
+    ga = _build(FgAbGroup, _get(groups, "ground_a", "$.groups"), "$.groups.ground_a")
+    restriction = _build(
+        lambda rows: GroupHom(gx, ga, rows),
+        _get(_get(data, "homs", "$"), "restriction", "$.homs"),
+        "$.homs.restriction", _int_matrix,
+    )
     theta = _dec_int(
         _get(_get(data, "scalars", "$"), "theta", "$.scalars"), "$.scalars.theta"
     )
@@ -391,37 +410,29 @@ def load_instance(data) -> ExtensionInstance:
     a_classes = _load_ids(_get(classes, "a", "$.classes"), "$.classes.a")
     if len(x_classes) * max(1, gx.rank) > _MAX_TABLE_ENTRIES:
         raise FileFormatError("$.classes.x: instance too large")
-    elements = _get(data, "elements", "$")
-    try:
-        target_ground = ga.element(
-            _int_list(_get(elements, "target_ground", "$.elements"),
-                      "$.elements.target_ground")
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"$.elements.target_ground: {exc}") from exc
+    names_x, names_a = _names(x_classes), _names(a_classes)
+    target_ground = _build(
+        ga.element,
+        _get(_get(data, "elements", "$"), "target_ground", "$.elements"),
+        "$.elements.target_ground",
+    )
     target_class = _dec_id(
         _get(_get(data, "distinguished", "$"), "target_class", "$.distinguished"),
         "$.distinguished.target_class",
     )
     tables = _get(data, "tables", "$")
-    proj_x = _load_proj(_get(tables, "proj_x", "$.tables"), x_classes, gx,
-                        "$.tables.proj_x")
-    proj_a = _load_proj(_get(tables, "proj_a", "$.tables"), a_classes, ga,
-                        "$.tables.proj_a")
-    restrict_raw = _as_dict(_get(tables, "restrict", "$.tables"), "$.tables.restrict")
-    known_x, known_a = set(x_classes), set(a_classes)
-    restrict_class = {}
-    for key, v in restrict_raw.items():
-        g = _dec_id(key, f"$.tables.restrict.{key}")
-        val = _dec_id(v, f"$.tables.restrict.{key}")
-        if g not in known_x or val not in known_a:
-            raise FileFormatError(f"$.tables.restrict.{key}: unknown identifier")
-        restrict_class[g] = val
+    proj_x = _load_proj(_get(tables, "proj_x", "$.tables"), x_classes, names_x,
+                        gx, "$.tables.proj_x")
+    proj_a = _load_proj(_get(tables, "proj_a", "$.tables"), a_classes, names_a,
+                        ga, "$.tables.proj_a")
+    restrict_class = _load_id_table(
+        _get(tables, "restrict", "$.tables"), names_x, names_a, "$.tables.restrict"
+    )
     _check_dense(restrict_class, x_classes, "$.tables.restrict")
-    act_x = _load_act(_get(tables, "act_x", "$.tables"), x_classes, gx.rank,
-                      "$.tables.act_x")
-    act_a = _load_act(_get(tables, "act_a", "$.tables"), a_classes, ga.rank,
-                      "$.tables.act_a")
+    act_x = _load_act(_get(tables, "act_x", "$.tables"), x_classes, names_x,
+                      gx.rank, "$.tables.act_x")
+    act_a = _load_act(_get(tables, "act_a", "$.tables"), a_classes, names_a,
+                      ga.rank, "$.tables.act_a")
     try:
         return ExtensionInstance(
             gx=gx, ga=ga, restriction=restriction, target_ground=target_ground,

@@ -1,9 +1,10 @@
 import json
+import math
 import time
 
 import pytest
 
-from extdecide import cli
+from extdecide import cli, diffcalc
 from extdecide.cli import main
 from extdecide.fileformat import canonical_json, digest, dump_instance, dump_tower
 from extdecide.decide import generate_instance
@@ -459,3 +460,61 @@ class TestOutputContract:
         assert report["error"] == "RuntimeError: boom"
         assert report["result"] is None
         assert "internal error" in err
+
+
+class TestBoundedWork:
+    """Inputs whose cost the program must bound before doing the work:
+    each ends within 2 s with exactly one report and exit 2."""
+
+    @staticmethod
+    def timed(capsys, *argv):
+        started = time.perf_counter()
+        code = main(list(argv))
+        elapsed = time.perf_counter() - started
+        out = capsys.readouterr().out
+        assert out.count('"command"') == 1  # exactly one report
+        return code, json.loads(out), elapsed
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, report, elapsed = self.timed(capsys, "decide", str(path))
+        assert elapsed < 2.0
+        assert code == 2
+        assert "recursion" in report["error"]
+
+    def test_huge_prime_skips_the_primality_test(self, capsys, monkeypatch):
+        p = 2**2203 - 1  # a Mersenne prime of 664 digits
+        tested = []
+        for module in (cli, diffcalc):
+            real = module.is_prime
+            monkeypatch.setattr(
+                module, "is_prime", lambda n, real=real: tested.append(n) or real(n)
+            )
+        code, report, elapsed = self.timed(
+            capsys, "diff", "build", "--p", str(p), "--m", "1", "--l0", "2"
+        )
+        assert elapsed < 2.0
+        assert code == 2
+        assert report["error"] == "modulus p^m must be <= 65536"
+        assert p not in tested
+
+    def test_oversized_algebra_exits_2(self, capsys):
+        code, report, elapsed = self.timed(
+            capsys, "diff", "check", "--p", "2", "--m", "1", "--l0", "2",
+            "--max-s", "3000", "--max-t", "3000", "--trials", "3",
+        )
+        assert elapsed < 2.0
+        assert code == 2
+        assert report["error"] == (
+            f"--max-s times --max-t must be <= {cli.MAX_ALGEBRA_ENTRIES}"
+        )
+
+    def test_largest_algebra_runs(self, capsys):
+        side = math.isqrt(cli.MAX_ALGEBRA_ENTRIES)
+        code, report, _ = self.timed(
+            capsys, "diff", "check", "--p", "2", "--m", "1", "--l0", "2",
+            "--max-s", str(side), "--max-t", str(side), "--trials", "1",
+        )
+        assert code == 0
+        assert report["result"]["violations_total"] == 0

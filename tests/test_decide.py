@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import time
 
@@ -453,3 +454,119 @@ class TestBruteForce:
             inst = generate_instance(seed)
             if set(inst.restrict_class.values()) == set(inst.a_classes):
                 assert brute_force(inst).answer == "YES"
+
+
+def mixed_ground_instance(rng):
+    """Two classes over each point of windows of Z + Z/n and Z/m + Z, with
+    the restriction's image inside the A window.  The finite summands act
+    by translation by theta; the Z summands' tables are the identity
+    placeholder."""
+    n, m, theta = rng.choice((2, 3, 4)), rng.choice((2, 4, 6)), rng.choice((2, 3, 5))
+    gx, ga = FgAbGroup((0, n)), FgAbGroup((m, 0))
+    step = m // math.gcd(m, n)
+    restriction = GroupHom(
+        gx, ga, [[rng.randrange(m), step * rng.randrange(m)], [rng.randint(-2, 2), 0]]
+    )
+    x_points = [gx.element((k, c)) for k in range(-2, 3) for c in range(n)]
+    a_points = [ga.element((u, v)) for v in range(-4, 5) for u in range(m)]
+    x_index = {p: i for i, p in enumerate(x_points)}
+    a_index = {p: i for i, p in enumerate(a_points)}
+    x_classes = tuple(range(2 * len(x_points)))
+    a_classes = tuple(range(2 * len(a_points)))
+    proj_x = {g: x_points[g // 2] for g in x_classes}
+    proj_a = {a: a_points[a // 2] for a in a_classes}
+    x_shift, a_shift = theta * gx.generator(1), theta * ga.generator(0)
+    return ExtensionInstance(
+        gx=gx, ga=ga, restriction=restriction, target_ground=proj_a[0], theta=theta,
+        x_classes=x_classes, a_classes=a_classes, proj_x=proj_x, proj_a=proj_a,
+        restrict_class={
+            g: 2 * a_index[restriction(proj_x[g])] + rng.randrange(2)
+            for g in x_classes
+        },
+        target_class=0,
+        act_x={g: (g, 2 * x_index[proj_x[g] + x_shift] + g % 2) for g in x_classes},
+        act_a={a: (2 * a_index[proj_a[a] + a_shift] + a % 2, a) for a in a_classes},
+    )
+
+
+def boxed_square_and_naturality(inst):
+    """The square and projection-naturality violations, computed on boxed
+    group elements: the reference for validate_instance's plain-int checks."""
+    found = [
+        ("square", g) for g in inst.x_classes
+        if inst.proj_a[inst.restrict_class[g]] != inst.restriction(inst.proj_x[g])
+    ]
+    for side, ids, act, proj, group in (
+        ("x", inst.x_classes, inst.act_x, inst.proj_x, inst.gx),
+        ("a", inst.a_classes, inst.act_a, inst.proj_a, inst.ga),
+    ):
+        for j, order in enumerate(group.orders):
+            if order:
+                shift = inst.theta * group.generator(j)
+                found += [
+                    ("projection_naturality", side, j, g) for g in ids
+                    if proj[act[g][j]] != proj[g] + shift
+                ]
+    return found
+
+
+class TestValidateParity:
+    @staticmethod
+    def corrupt(inst, rng):
+        def element(group):
+            return group.element(
+                [rng.randrange(q) if q else rng.randint(-3, 3) for q in group.orders]
+            )
+
+        kind = rng.randrange(5)
+        if kind == 0:
+            return dataclasses.replace(inst, proj_x={
+                **inst.proj_x, rng.choice(inst.x_classes): element(inst.gx)})
+        if kind == 1:
+            return dataclasses.replace(inst, proj_a={
+                **inst.proj_a, rng.choice(inst.a_classes[1:]): element(inst.ga)})
+        if kind == 2:
+            g = rng.choice(inst.x_classes)
+            row = (inst.act_x[g][0], rng.choice(inst.x_classes))
+            return dataclasses.replace(inst, act_x={**inst.act_x, g: row})
+        if kind == 3:
+            return dataclasses.replace(inst, restrict_class={
+                **inst.restrict_class,
+                rng.choice(inst.x_classes): rng.choice(inst.a_classes)})
+        return dataclasses.replace(inst, theta=rng.randint(1, 9))
+
+    def test_matches_boxed_reference(self):
+        kinds = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            inst = mixed_ground_instance(rng)
+            for _ in range(rng.randint(0, 3)):
+                inst = self.corrupt(inst, rng)
+            violations = validate_instance(inst).violations
+            plain = [v for v in violations
+                     if v[0] in ("square", "projection_naturality")]
+            assert plain == boxed_square_and_naturality(inst)
+            kinds.update(v[0] for v in plain)
+        assert kinds == {"square", "projection_naturality"}
+
+    def test_uncorrupted_mixed_instances_pass_both_checks(self):
+        for seed in range(20):
+            inst = mixed_ground_instance(random.Random(seed))
+            assert boxed_square_and_naturality(inst) == []
+            assert not [v for v in validate_instance(inst).violations
+                        if v[0] in ("square", "projection_naturality")]
+
+    def test_generated_corruptions_match(self):
+        for seed in range(60):
+            rng = random.Random(f"finite/{seed}")
+            try:
+                inst = generate_instance(seed, params=GenParams(max_classes=256))
+            except ValueError:  # too many classes for this test
+                continue
+            g = rng.choice(inst.x_classes)
+            inst = dataclasses.replace(inst, proj_x={
+                **inst.proj_x, g: inst.gx.element_at(rng.randrange(inst.gx.size)),
+            })
+            plain = [v for v in validate_instance(inst).violations
+                     if v[0] in ("square", "projection_naturality")]
+            assert plain == boxed_square_and_naturality(inst)

@@ -207,3 +207,160 @@ class TestInstanceFiles:
         assert data["tables"]["proj_x"]["0"] == [str(big)]
         loaded = load_instance(data)
         assert loaded.proj_x[0].coords == (big,)
+
+
+def _load_bytes(data):
+    return canonical_json(dump_instance(load_instance(data)))
+
+
+def _load_error(data):
+    with pytest.raises(FileFormatError) as info:
+        load_instance(data)
+    return str(info.value)
+
+
+class TestLoaderSpellings:
+    """Table keys written as str(id) and identifier values written as the
+    id map through one dict; every other spelling is decoded in full and
+    gives the instance, or the error, that full decoding gives."""
+
+    def test_zero_padded_keys(self):
+        data = dump_instance(generate_instance(9))
+        tables = data["tables"]
+        for key in ("proj_x", "restrict"):
+            tables[key]["007"] = tables[key].pop("7")
+        tables["act_x"][0]["007"] = tables["act_x"][0].pop("7", 0)
+        data["classes"]["x"][7] = "007"
+        assert _load_bytes(data) == canonical_json(dump_instance(generate_instance(9)))
+
+    def test_string_identifiers(self):
+        inst = generate_instance(9)
+        data = dump_instance(inst)
+        tables = data["tables"]
+        data["classes"]["a"] = [f"a{g}" for g in inst.a_classes]
+        data["distinguished"]["target_class"] = f"a{inst.target_class}"
+        tables["proj_a"] = {f"a{g}": v for g, v in tables["proj_a"].items()}
+        tables["restrict"] = {g: f"a{v}" for g, v in tables["restrict"].items()}
+        tables["act_a"] = [
+            {f"a{g}": f"a{v}" for g, v in table.items()} for table in tables["act_a"]
+        ]
+        # omitted entries default to 0, which now names no a-class
+        assert _load_error(data).startswith("$: malformed instance: act_a[")
+        tables["act_a"] = [
+            {f"a{g}": f"a{inst.act_a[g][j]}" for g in inst.a_classes}
+            for j in range(inst.ga.rank)
+        ]
+        loaded = load_instance(data)
+        assert loaded.a_classes == tuple(f"a{g}" for g in inst.a_classes)
+        assert loaded.restrict_class == {
+            g: f"a{v}" for g, v in inst.restrict_class.items()
+        }
+        assert loaded.act_a == {
+            f"a{g}": tuple(f"a{v}" for v in row) for g, row in inst.act_a.items()
+        }
+        assert validate_instance(loaded) == validate_instance(inst)
+
+    def test_int_values_written_as_strings(self):
+        data = dump_instance(generate_instance(9))
+        restrict = data["tables"]["restrict"]
+        restrict["3"] = str(restrict["3"])
+        restrict["4"] = "00" + str(restrict["4"])
+        assert _load_bytes(data) == canonical_json(dump_instance(generate_instance(9)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t["restrict"].update({"3": True}),
+             "$.tables.restrict.3: booleans are not identifiers"),
+            (lambda t: t["act_x"][0].update({"3": False}),
+             "$.tables.act_x[0].3: booleans are not identifiers"),
+            (lambda t: t["restrict"].update({"3": 1.0}),
+             "$.tables.restrict.3: identifiers must be integers or strings"),
+            (lambda t: t["restrict"].update({"999": True}),
+             "$.tables.restrict.999: booleans are not identifiers"),
+            (lambda t: t["restrict"].update({"999": 0}),
+             "$.tables.restrict.999: unknown identifier"),
+            (lambda t: t["restrict"].update({"3": 999}),
+             "$.tables.restrict.3: unknown identifier"),
+            (lambda t: t["restrict"].update({"3": "nowhere"}),
+             "$.tables.restrict.3: unknown identifier"),
+            (lambda t: t["act_x"][1].update({"0999": 0}),
+             "$.tables.act_x[1].0999: unknown identifier"),
+            (lambda t: t["act_a"][0].update({"2": -1}),
+             "$.tables.act_a[0].2: unknown identifier"),
+            (lambda t: t["proj_x"].update({"999": [0, 0]}),
+             "$.tables.proj_x.999: unknown identifier"),
+            (lambda t: t["proj_x"].update({"3": [0, 0, 0]}),
+             "$.tables.proj_x.3: expected 2 coordinates, got 3"),
+            (lambda t: t["proj_x"].update({"3": [0]}),
+             "$.tables.proj_x.3: expected 2 coordinates, got 1"),
+        ],
+        ids=["bool_value", "bool_act_value", "float_value", "unknown_key_bool",
+             "unknown_key", "unknown_value", "unknown_string_value",
+             "unknown_act_key", "unknown_act_value", "unknown_proj_key",
+             "long_row", "short_row"],
+    )
+    def test_error_messages(self, edit, message):
+        data = dump_instance(generate_instance(9))
+        assert generate_instance(9).gx.rank == 2
+        edit(data["tables"])
+        assert _load_error(data) == message
+
+    def test_boolean_class_identifier(self):
+        data = dump_instance(generate_instance(9))
+        data["classes"]["x"][2] = True
+        assert _load_error(data) == "$.classes.x[2]: booleans are not identifiers"
+
+    def test_big_coordinates_as_strings(self):
+        data = dump_instance(generate_instance(9))
+        orders = generate_instance(9).gx.orders
+        row = data["tables"]["proj_x"]["5"]
+        big = [str(c + 2**60 * q) for c, q in zip(row, orders)]
+        data["tables"]["proj_x"]["5"] = big
+        assert _load_bytes(data) == canonical_json(dump_instance(generate_instance(9)))
+        data["tables"]["proj_x"]["5"] = [int(c) for c in big]
+        assert _load_bytes(data) == canonical_json(dump_instance(generate_instance(9)))
+
+    def test_sparse_default_fills_missing_entries(self):
+        inst = generate_instance(4, theta=4)
+        data = dump_instance(inst)
+        assert any(0 in row for row in inst.act_x.values())
+        loaded = load_instance(data)
+        assert loaded.act_x == inst.act_x and loaded.act_a == inst.act_a
+
+
+class TestErrorPathsWrapOnce:
+    """A coordinate's error carries its JSON path once."""
+
+    LONG = "1" * 5000
+
+    def test_projection_coordinate(self):
+        data = dump_instance(generate_instance(9))
+        data["tables"]["proj_x"]["1"][0] = self.LONG
+        assert _load_error(data) == "$.tables.proj_x.1[0]: integer has too many digits"
+
+    def test_target_ground_coordinate(self):
+        data = dump_instance(generate_instance(9))
+        data["elements"]["target_ground"][0] = self.LONG
+        assert _load_error(data) == (
+            "$.elements.target_ground[0]: integer has too many digits"
+        )
+
+    def test_restriction_entry(self):
+        data = dump_instance(generate_instance(9))
+        data["homs"]["restriction"][0][0] = self.LONG
+        assert _load_error(data) == (
+            "$.homs.restriction[0][0]: integer has too many digits"
+        )
+
+    def test_ground_order(self):
+        data = dump_instance(generate_instance(9))
+        data["groups"]["ground_x"][0] = True
+        assert _load_error(data) == (
+            "$.groups.ground_x[0]: expected an integer, got a boolean"
+        )
+
+    def test_projection_row_not_an_array(self):
+        data = dump_instance(generate_instance(9))
+        data["tables"]["proj_a"]["0"] = 3
+        assert _load_error(data) == "$.tables.proj_a.0: expected an array"
