@@ -2,10 +2,12 @@
 
 Commands: `diff build`, `diff check`, `tower verify`, `decide`, `gen`.
 
-Every invocation that reaches a command emits exactly one JSON report on
-stdout; a human-readable summary goes to stderr (suppress it with
---quiet, or silence stderr entirely with --json-only).  No color is ever
-emitted, so NO_COLOR needs no special handling.
+Every invocation but --help emits exactly one JSON report on stdout; a
+human-readable summary goes to stderr (suppress it with --quiet, or
+silence stderr entirely with --json-only).  Arguments argparse rejects
+exit 2 with a report whose command is null when none was recognised,
+and argparse's usage line on stderr.  No color is ever emitted, so
+NO_COLOR needs no special handling.
 
 Exit codes: 0 success/verified, 1 semantic failure (violations, verdict
 disagreement), 2 input error (bad arguments, unparseable or malformed
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 import traceback
@@ -35,10 +38,10 @@ from .decide import (
     validate_instance,
 )
 from .decide import decide as run_decide
-from .diffcalc import _MAX_MODULUS
+from .diffcalc import _MAX_MODULUS, _MAX_STRIDE
 from .diffcalc import build_diff_operator, check_congruence, random_algebra, random_map
 from .abelian import FgAbGroup
-from .tower import build_ladder, verify_ladder
+from .tower import _MAX_TABLE_ENTRIES, build_ladder, verify_ladder
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -72,6 +75,26 @@ _positive = _integer(lambda v: v >= 1, "value must be >= 1")
 _non_negative = _integer(lambda v: v >= 0, "value must be >= 0")
 
 
+def _new_report(command) -> dict:
+    return {"format_version": ff.FORMAT_VERSION, "command": command,
+            "input_digest": None, "seed": None, "result": None,
+            "counters": {"checks": 0, "duration_s": 0.0}, "warnings": []}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejected arguments end in one JSON report too, then exit 2."""
+
+    def error(self, message):
+        message = re.sub(r"(\d{20})\d+", r"\1...", message)  # numbers cut to 20 digits
+        # a command's own parser carries its handler; others name no command
+        command = self.prog.partition(" ")[2] if self.get_default("handler") else None
+        report = _new_report(command)
+        report["error"] = message
+        sys.stdout.write(ff.canonical_json(report))
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_output_flags(parser):
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the stderr summary"
@@ -82,7 +105,7 @@ def _add_output_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extdecide",
         description="difference operators, tower actions and extension decisions",
     )
@@ -134,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random valid instance file")
     gen.add_argument("--out", type=Path, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--theta", type=_positive)
+    gen.add_argument("--theta", type=_integer(
+        lambda v: 1 <= v <= _MAX_STRIDE, f"value must be in [1, {_MAX_STRIDE}]"))
     gen.add_argument("--desired", choices=["YES", "NO"])
     gen.add_argument("--max-rank", type=_positive, default=2)
     gen.add_argument("--max-classes", type=_positive, default=4096)
@@ -313,6 +337,10 @@ def cmd_decide(args, report):
 
 def cmd_gen(args, report):
     report["seed"] = args.seed
+    if args.max_classes * args.max_rank > _MAX_TABLE_ENTRIES:
+        raise ff.FileFormatError(
+            f"--max-classes times --max-rank must be <= {_MAX_TABLE_ENTRIES}"
+        )
     params = GenParams(max_rank=args.max_rank, max_classes=args.max_classes)
     try:
         inst = generate_instance(
@@ -349,15 +377,7 @@ def main(argv=None) -> int:
     command = args.command + (
         f" {args.subcommand}" if getattr(args, "subcommand", None) else ""
     )
-    report = {
-        "format_version": ff.FORMAT_VERSION,
-        "command": command,
-        "input_digest": None,
-        "seed": None,
-        "result": None,
-        "counters": {"checks": 0, "duration_s": 0.0},
-        "warnings": [],
-    }
+    report = _new_report(command)
     started = time.perf_counter()
     try:
         code, summary = args.handler(args, report)

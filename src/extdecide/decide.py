@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupElement, GroupHom, kernel, solve
 from .diffcalc import AuditReport
+
+_group_of = operator.attrgetter("group")
 
 __all__ = [
     "ExtensionInstance",
@@ -107,26 +110,31 @@ class ExtensionInstance:
         ):
             if not ok:
                 raise InvalidInstanceError(f"malformed instance: {what}")
-        for name, table, keys, ok in (
-            ("proj_x", self.proj_x, xs,
-             lambda v: isinstance(v, GroupElement) and v.group == gx),
-            ("proj_a", self.proj_a, as_,
-             lambda v: isinstance(v, GroupElement) and v.group == ga),
-            ("restrict_class", self.restrict_class, xs, as_.__contains__),
-            ("act_x", self.act_x, xs,
-             lambda row: len(row) == gx.rank and xs.issuperset(row)),
-            ("act_a", self.act_a, as_,
-             lambda row: len(row) == ga.rank and as_.issuperset(row)),
+
+        def elements_of(group):  # list.count matches the group by identity first
+            return lambda vs: (list(map(type, vs)).count(GroupElement) == len(vs)
+                               == list(map(_group_of, vs)).count(group))
+
+        def rows_in(ids, rank):
+            return lambda rows: (list(map(len, rows)).count(rank) == len(rows) and all(
+                ids.issuperset(map(operator.itemgetter(j), rows)) for j in range(rank)))
+
+        for name, table, keys, fit in (
+            ("proj_x", self.proj_x, xs, elements_of(gx)),
+            ("proj_a", self.proj_a, as_, elements_of(ga)),
+            ("restrict_class", self.restrict_class, xs, as_.issuperset),
+            ("act_x", self.act_x, xs, rows_in(xs, gx.rank)),
+            ("act_a", self.act_a, as_, rows_in(as_, ga.rank)),
         ):
             if table.keys() != keys:
                 raise InvalidInstanceError(
                     f"malformed instance: {name} is not keyed by its classes"
                 )
-            for key, value in table.items():
-                if not ok(value):
-                    raise InvalidInstanceError(
-                        f"malformed instance: {name}[{key!r}] is out of range"
-                    )
+            if not fit(table.values()):  # walk only to name the first breach
+                key = next(k for k, v in table.items() if not fit((v,)))
+                raise InvalidInstanceError(
+                    f"malformed instance: {name}[{key!r}] is out of range"
+                )
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,6 @@ class Verdict:
     witness: object = None
     base_solution: GroupElement = None
     rep_count: int = 0
-
-
-def _generator_tables(ids, act, rank):
-    """Per-generator dict tables id -> id, from the stored tuples."""
-    return [{g: act[g][j] for g in ids} for j in range(rank)]
 
 
 def _cycles(table, ids):
@@ -231,7 +234,7 @@ def validate_instance(inst: ExtensionInstance) -> AuditReport:
     side_tables = {}
     side_cycles = {}
     for side, ids, act, coords, group in sides:
-        tables = _generator_tables(ids, act, group.rank)
+        tables = [{g: act[g][j] for g in ids} for j in range(group.rank)]
         cycles = side_cycles[side] = [None] * group.rank
         side_tables[side] = tables
         for j in range(group.rank):
@@ -399,6 +402,13 @@ def generate_instance(
     restriction on the first coordinate and by a random affine map on
     the second.  desired ("YES" or "NO") steers the answer and is a best
     effort hint, not a guarantee.
+
+    The class count is checked before any map is drawn.  Tables are
+    built on plain ints: each ground group is enumerated once (one
+    GroupElement per ground element, shared across its fiber), each map
+    is applied once per ground or fiber element, and the actions are
+    index arithmetic.  The draws and their order are fixed, so a seed
+    always gives the same instance, byte for byte.
     """
     rng = random.Random(seed)
     if theta is None:
@@ -421,82 +431,72 @@ def generate_instance(
     fa = FgAbGroup(
         [rng.choice(theta_divisors)] if theta_divisors and rng.random() < 0.8 else []
     )
+    # 64 summands of order >= 2 give 2^64 classes or more, multiplied out or not
+    n_x, n_a = (g.size * f.size if g.rank + f.rank < 64 else 2**64
+                for g, f in ((gx, fx), (ga, fa)))
+    if n_x > params.max_classes or n_a > params.max_classes:
+        n = max(n_x, n_a)
+        raise ValueError(f"instance would have {n if n < 2**64 else '2^64 or more'} "
+                         f"classes, bound is {params.max_classes}")
 
     restriction = GroupHom(gx, ga, _random_hom_matrix(rng, gx, ga))
     rho = GroupHom(fx, fa, _random_hom_matrix(rng, fx, fa))
     eta = GroupHom(gx, fa, _random_hom_matrix(rng, gx, fa))
 
-    n_x = gx.size * fx.size
-    n_a = ga.size * fa.size
-    if n_x > params.max_classes or n_a > params.max_classes:
-        raise ValueError(
-            f"instance would have {max(n_x, n_a)} classes, "
-            f"bound is {params.max_classes}"
-        )
-
-    def x_pair(i):
-        h, u = divmod(i, fx.size)
-        return gx.element_at(h), fx.element_at(u)
-
-    def a_id(a_elem, v_elem):
-        return ga.index_of(a_elem) * fa.size + fa.index_of(v_elem)
-
-    x_classes = tuple(range(n_x))
-    a_classes = tuple(range(n_a))
-    proj_x = {}
-    proj_a = {}
-    restrict_class = {}
-    act_x = {}
-    act_a = {}
-    for i in x_classes:
-        h, u = x_pair(i)
-        proj_x[i] = h
-        restrict_class[i] = a_id(restriction(h), rho(u) + eta(h))
-        act_x[i] = tuple(
-            gx.index_of(h + theta * gx.generator(j)) * fx.size + fx.index_of(u)
-            for j in range(gx.rank)
-        )
-    for i in a_classes:
-        a_idx, v_idx = divmod(i, fa.size)
-        a = ga.element_at(a_idx)
-        proj_a[i] = a
-        act_a[i] = tuple(
-            ga.index_of(a + theta * ga.generator(j)) * fa.size + v_idx
-            for j in range(ga.rank)
-        )
-
-    target_class = _steer_target(rng, desired, gx, ga, fa, restriction,
+    ground_x, ground_a, fiber_x = (
+        list(itertools.product(*map(range, g.orders))) for g in (gx, ga, fx)
+    )
+    where_a = {c: i for i, c in enumerate(ground_a)}
+    images = [where_a[restriction.apply(c)] for c in ground_x]
+    # fa has at most one summand: an element's index is its coordinate (0
+    # with none), and adding in fa adds indices mod fa.size
+    etas = [sum(eta.apply(c)) for c in ground_x]
+    rhos = [sum(rho.apply(u)) for u in fiber_x]
+    restrict_class = dict(enumerate(
+        image * fa.size + (r + e) % fa.size
+        for image, e in zip(images, etas) for r in rhos
+    ))
+    proj_x, act_x = _split_tables(gx, ground_x, fx.size, theta)
+    proj_a, act_a = _split_tables(ga, ground_a, fa.size, theta)
+    target_class = _steer_target(rng, desired, n_a, fa.size, set(images),
                                  restrict_class)
     return ExtensionInstance(
-        gx=gx,
-        ga=ga,
-        restriction=restriction,
-        target_ground=proj_a[target_class],
-        theta=theta,
-        x_classes=x_classes,
-        a_classes=a_classes,
-        proj_x=proj_x,
-        proj_a=proj_a,
-        restrict_class=restrict_class,
-        target_class=target_class,
-        act_x=act_x,
-        act_a=act_a,
+        gx=gx, ga=ga, restriction=restriction, target_ground=proj_a[target_class],
+        theta=theta, x_classes=tuple(range(n_x)), a_classes=tuple(range(n_a)),
+        proj_x=proj_x, proj_a=proj_a, restrict_class=restrict_class,
+        target_class=target_class, act_x=act_x, act_a=act_a,
     )
 
 
-def _steer_target(rng, desired, gx, ga, fa, restriction, restrict_class):
+def _split_tables(group, ground, fiber, theta):
+    """Projections and action rows of the classes h * fiber + u over the
+    ground coordinate tuples h.  Translating by theta * g_j moves
+    coordinate j to (c_j + theta) % o_j, so the class index moves by the
+    difference times that coordinate's stride."""
+    n = len(ground) * fiber
+    boxed = [GroupElement(group, c) for c in ground]
+    columns = []
+    stride = n
+    for j, order in enumerate(group.orders):
+        stride //= order
+        moves = [((c[j] + theta) % order - c[j]) * stride for c in ground]
+        columns.append([i + moves[i // fiber] for i in range(n)])
+    return (dict(enumerate(e for e in boxed for _ in range(fiber))),
+            dict(enumerate(zip(*columns) if columns else [()] * n)))
+
+
+def _steer_target(rng, desired, n_a, fiber, images, restrict_class):
     reachable = sorted(set(restrict_class.values()))
     if desired == "YES":
         return rng.choice(reachable)
     if desired == "NO":
-        unreachable = sorted(set(range(ga.size * fa.size)) - set(reachable))
+        unreachable = sorted(set(range(n_a)) - set(reachable))
         if unreachable:
-            # prefer a target whose ground part is reachable, so the scan
-            # actually has fibers to walk before answering NO
-            image = {restriction(h) for h in gx.elements()}
-            hard = [i for i in unreachable if ga.element_at(i // fa.size) in image]
+            # prefer a target whose ground part is reachable (its index is
+            # in images), so the scan has fibers to walk before answering NO
+            hard = [i for i in unreachable if i // fiber in images]
             return rng.choice(hard or unreachable)
-    return rng.randrange(ga.size * fa.size)
+    return rng.randrange(n_a)
 
 
 def _random_hom_matrix(rng, src, tgt):

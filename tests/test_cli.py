@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import pytest
@@ -518,3 +519,97 @@ class TestBoundedWork:
         )
         assert code == 0
         assert report["result"]["violations_total"] == 0
+
+
+def rejected(capsys, *argv):
+    """Exit code, the one report and seconds taken by a run that argparse
+    or a handler rejects."""
+    started = time.perf_counter()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    assert out.count('"command"') == 1  # exactly one report
+    report = json.loads(out)
+    assert not re.search(r"\d{21}", report["error"])  # no long number echoed
+    return code, report, elapsed
+
+
+# (id, gen arguments, expected error part)
+GEN_PROBES = [
+    ("max_rank_1e5", ["--max-rank", "100000"], "--max-classes times --max-rank"),
+    ("max_rank_1e5_two_classes", ["--max-rank", "100000", "--max-classes", "2"],
+     "bound"),
+    ("classes_times_rank", ["--max-classes", "100000", "--max-rank", "3"],
+     "--max-classes times --max-rank"),
+    ("theta_1e12", ["--theta", str(10**12)], "--theta"),
+    ("rank_3000_class_count", ["--max-rank", "3000", "--max-classes", "66"], "bound"),
+]
+
+
+class TestGenBounds:
+    """gen's work is bounded by its arguments: each probe ends within 2 s
+    with one report and exit 2."""
+
+    @pytest.mark.parametrize(
+        "args, part", [p[1:] for p in GEN_PROBES], ids=[p[0] for p in GEN_PROBES]
+    )
+    def test_probe_exits_2_quickly(self, capsys, tmp_path, args, part):
+        out = tmp_path / "g.json"
+        code, report, elapsed = rejected(capsys, "gen", "--out", str(out), *args)
+        assert elapsed < 2.0
+        assert code == 2
+        assert report["command"] == "gen"
+        assert part in report["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--max-classes", "256"], ["--max-classes", "100000", "--max-rank", "2"],
+    ], ids=["max_classes_256", "at_the_cap"])
+    def test_bounded_params_run(self, capsys, tmp_path, args):
+        out = tmp_path / "g.json"
+        code, report, _ = run(capsys, "gen", "--seed", "5", "--out", str(out), *args)
+        assert code == 0
+        assert report["result"]["digest"] == digest(out.read_bytes())
+
+
+# (id, argv, expected command, expected error part)
+PARSER_PROBES = [
+    ("non_prime_p", ["diff", "build", "--p", "6", "--m", "1", "--l0", "1"],
+     "diff build", "argument --p"),
+    ("p_5000_digits", ["diff", "build", "--p", LONG, "--m", "1", "--l0", "2"],
+     "diff build", "argument --p"),
+    ("max_s_not_a_number",
+     ["diff", "check", "--p", "2", "--m", "1", "--l0", "2", "--max-s", "abc"],
+     "diff check", "argument --max-s"),
+    ("seed_5000_digits", ["gen", "--out", "x.json", "--seed", LONG], "gen",
+     "argument --seed"),
+    ("decide_without_file", ["decide"], "decide", "file"),
+    ("no_subcommand", ["diff"], None, "subcommand"),
+    ("unknown_command", ["bogus"], None, "argument command"),
+]
+
+
+class TestParserRejections:
+    """Arguments argparse rejects still end in one JSON report and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, command, part", [p[1:] for p in PARSER_PROBES],
+        ids=[p[0] for p in PARSER_PROBES],
+    )
+    def test_one_report(self, capsys, argv, command, part):
+        code, report, elapsed = rejected(capsys, *argv)
+        assert elapsed < 2.0
+        assert code == 2
+        assert report["command"] == command
+        assert part in report["error"]
+        assert report["result"] is None
+
+    def test_help_exits_0_without_report(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--max-classes" in out and '"command"' not in out

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -17,7 +18,9 @@ from extdecide.decide import (
     generate_instance,
     representative_set,
     validate_instance,
+    _random_hom_matrix,
 )
+from extdecide.fileformat import canonical_json, dump_instance
 
 
 def infinite_ground_instance(theta=10, hit=True):
@@ -570,3 +573,117 @@ class TestValidateParity:
             plain = [v for v in validate_instance(inst).violations
                      if v[0] in ("square", "projection_naturality")]
             assert plain == boxed_square_and_naturality(inst)
+
+
+def boxed_generate_instance(seed, theta=None, desired=None, params=GenParams()):
+    """The generator as it was written on boxed group elements, one
+    element_at, index_of and addition per class: the reference for
+    generate_instance's index tables."""
+    rng = random.Random(seed)
+    if theta is None:
+        theta = rng.randint(2, 16)
+    if theta < 1:
+        raise ValueError("theta must be positive")
+    if desired not in (None, "YES", "NO"):
+        raise ValueError("desired must be YES, NO or None")
+    gx = FgAbGroup(
+        [rng.choice(params.order_pool) for _ in range(rng.randint(1, params.max_rank))]
+    )
+    ga = FgAbGroup(
+        [rng.choice(params.order_pool) for _ in range(rng.randint(1, params.max_rank))]
+    )
+    fx = FgAbGroup([rng.choice(params.fiber_pool)] if rng.random() < 0.8 else [])
+    theta_divisors = [d for d in range(2, theta + 1) if theta % d == 0]
+    fa = FgAbGroup(
+        [rng.choice(theta_divisors)] if theta_divisors and rng.random() < 0.8 else []
+    )
+    restriction = GroupHom(gx, ga, _random_hom_matrix(rng, gx, ga))
+    rho = GroupHom(fx, fa, _random_hom_matrix(rng, fx, fa))
+    eta = GroupHom(gx, fa, _random_hom_matrix(rng, gx, fa))
+    n_x = gx.size * fx.size
+    n_a = ga.size * fa.size
+    if n_x > params.max_classes or n_a > params.max_classes:
+        raise ValueError(
+            f"instance would have {max(n_x, n_a)} classes, "
+            f"bound is {params.max_classes}"
+        )
+
+    f_x, f_a = fx.size, fa.size
+    shifts_x = [theta * gx.generator(j) for j in range(gx.rank)]
+    shifts_a = [theta * ga.generator(j) for j in range(ga.rank)]
+    proj_x, proj_a, restrict_class, act_x, act_a = {}, {}, {}, {}, {}
+    for i in range(n_x):
+        h_idx, u_idx = divmod(i, f_x)
+        h, u = gx.element_at(h_idx), fx.element_at(u_idx)
+        proj_x[i] = h
+        restrict_class[i] = (
+            ga.index_of(restriction(h)) * f_a + fa.index_of(rho(u) + eta(h))
+        )
+        act_x[i] = tuple(
+            gx.index_of(h + shift) * f_x + fx.index_of(u) for shift in shifts_x
+        )
+    for i in range(n_a):
+        a_idx, v_idx = divmod(i, f_a)
+        a = ga.element_at(a_idx)
+        proj_a[i] = a
+        act_a[i] = tuple(ga.index_of(a + shift) * f_a + v_idx for shift in shifts_a)
+
+    reachable = sorted(set(restrict_class.values()))
+    target_class = None
+    if desired == "YES":
+        target_class = rng.choice(reachable)
+    elif desired == "NO":
+        unreachable = sorted(set(range(n_a)) - set(reachable))
+        if unreachable:
+            image = {restriction(h) for h in gx.elements()}
+            hard = [i for i in unreachable if ga.element_at(i // fa.size) in image]
+            target_class = rng.choice(hard or unreachable)
+    if target_class is None:
+        target_class = rng.randrange(n_a)
+    return ExtensionInstance(
+        gx=gx, ga=ga, restriction=restriction, target_ground=proj_a[target_class],
+        theta=theta, x_classes=tuple(range(n_x)), a_classes=tuple(range(n_a)),
+        proj_x=proj_x, proj_a=proj_a, restrict_class=restrict_class,
+        target_class=target_class, act_x=act_x, act_a=act_a,
+    )
+
+
+def _dumped(generate, *args, **kwargs):
+    """The instance as dump_instance writes it (its canonical bytes are a
+    function of this), or the refusal message."""
+    try:
+        return dump_instance(generate(*args, **kwargs))
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+class TestGeneratorParity:
+    """generate_instance builds the boxed reference's instances, byte for
+    byte, and refuses with its messages; the digest of the canonical bytes
+    pins the output itself.  The reference costs about 15 us per class,
+    so the sweep stops at seed 59 to keep this test near a second."""
+
+    CALLS = [
+        ((seed,), {"desired": desired, "theta": theta})
+        for seed in range(60)
+        for desired in ("YES", "NO", None)
+        for theta in (None, 2, 6)
+    ] + [  # the benchmark's shapes: one order per pool, exact class counts
+        ((seed,), {"theta": 2, "desired": desired, "params": GenParams(
+            max_rank=3, order_pool=(order,), fiber_pool=(2,),
+            max_classes=order**2 * 2)})
+        for order in (9, 16, 27)
+        for seed in range(8)
+        for desired in ("YES", "NO")
+    ]
+
+    def test_matches_boxed_reference(self):
+        digest = hashlib.sha256()
+        refused = 0
+        for args, kwargs in self.CALLS:
+            got = _dumped(generate_instance, *args, **kwargs)
+            assert got == _dumped(boxed_generate_instance, *args, **kwargs)
+            refused += isinstance(got, str)
+            digest.update((got if isinstance(got, str) else canonical_json(got)).encode())
+        assert 0 < refused < len(self.CALLS) // 2
+        assert digest.hexdigest()[:16] == "156d62255e2a5f6e"
