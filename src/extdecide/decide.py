@@ -25,6 +25,7 @@ import operator
 import random
 from dataclasses import dataclass
 
+from ._primes import factorize
 from .abelian import FgAbGroup, GroupElement, GroupHom, kernel, solve
 from .diffcalc import AuditReport
 
@@ -427,7 +428,7 @@ def generate_instance(
     fx = FgAbGroup(
         [rng.choice(params.fiber_pool)] if rng.random() < 0.8 else []
     )
-    theta_divisors = [d for d in range(2, theta + 1) if theta % d == 0]
+    theta_divisors = _divisors(theta)[1:]
     fa = FgAbGroup(
         [rng.choice(theta_divisors)] if theta_divisors and rng.random() < 0.8 else []
     )
@@ -466,6 +467,14 @@ def generate_instance(
         proj_x=proj_x, proj_a=proj_a, restrict_class=restrict_class,
         target_class=target_class, act_x=act_x, act_a=act_a,
     )
+
+
+def _divisors(n: int) -> list:
+    """The divisors of n >= 1, ascending, from its prime factorization."""
+    divisors = [1]
+    for p, e in factorize(n).items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return sorted(divisors)
 
 
 def _split_tables(group, ground, fiber, theta):

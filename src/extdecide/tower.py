@@ -2,19 +2,24 @@
 
 A tower starts from a finite abelian ground group and attaches layers.
 Layer i has a prime-power modulus q and an arbitrary table kappa over the
-previous stage; the new stage consists of pairs (x, c) with c in Z/q^2
-constrained by c = kappa(x) mod q.  Every stage is a plain finite set:
-the reduction Z/q^2 -> Z/q classifies the fiber coordinate, and the
-canonical-representative section lifts values back, so every construction
-below is total and can be checked exhaustively.
+previous stage; the new stage consists of pairs (p, c) with c in Z/q^2
+constrained by c = kappa(p) mod q, the point p*q + t for c = kappa(p) + q*t.
+Every stage is a plain finite set, so every construction below is total
+and can be checked exhaustively.
 
 build_ladder equips the stages with an action of the ground group at
 scales Theta_i: the ground acts on itself by addition (Theta_0 = 1), and
 each layer transports the action of the stage below through a
-difference-operator correction of its kappa table, multiplying the scale
-by the operator's theta.  The advertised guarantees (right zero,
-projection equivariance, fiber compatibility, scale divisibility) are
-audited by verify_ladder over every stage and every pair.
+difference-operator correction w (the twist) of its kappa table,
+multiplying the scale by the operator's theta.  Each stage s >= 1 is a
+principal fibration over the stage below, so its action is a skew
+product: the point (p, t) moves under y to (P[p][y], t + delta[p][y] mod
+q), where P is the stage below's action at the scale ratio and
+delta[p][y] = floor((kappa[p] + w[p][y] - kappa[P[p][y]]) / q) mod q does
+not depend on t.  Stages are stored as delta, q times smaller than their
+full tables, which are expanded only on demand.  verify_ladder audits the
+advertised guarantees (right zero, projection equivariance, fiber
+compatibility, scale divisibility) over every stage and every pair.
 """
 
 from __future__ import annotations
@@ -25,22 +30,11 @@ from functools import cached_property
 
 from ._primes import prime_power
 from .abelian import FgAbGroup
-from .diffcalc import (
-    AuditReport,
-    _diagonal_sums,
-    build_diff_operator,
-    iterated_table,
-)
+from .diffcalc import AuditReport, _diagonal_sums, build_diff_operator, iterated_table
 
 __all__ = [
-    "Layer",
-    "TowerModel",
-    "ActionLadder",
-    "build_ladder",
-    "stage_act",
-    "enumerate_lifts",
-    "verify_ladder",
-    "random_tower",
+    "Layer", "TowerModel", "ActionLadder", "build_ladder", "stage_act",
+    "enumerate_lifts", "verify_ladder", "random_tower",
 ]
 
 
@@ -162,9 +156,9 @@ class ActionLadder:
 
     thetas[i] is the cumulative scale Theta_{i+1} at which stage i+1 acts;
     twists[i][x][y] is the fiber correction in Z/q^2 added when the ground
-    element y acts on a stage-i point over x.  One-step action tables are
-    derived from the twists on demand, so the twists are the single source
-    of truth.
+    element y acts on a stage-i point over x.  The twists are the single
+    source of truth: each stage's action is re-derived from them in skew
+    form, and a full table is expanded only for step_tables or stage_act.
     """
 
     tower: TowerModel
@@ -181,16 +175,15 @@ class ActionLadder:
 
     @cached_property
     def _step_memos(self):
-        """Per-stage power memos of the one-step tables, for
-        iterated_table; stage_act and step_tables share them."""
-        return _build_step_tables(self.tower, self, violations=None)
+        """Per-stage power memos, shared by stage_act and step_tables."""
+        return _lift_stages(self.tower, self, violations=None)
 
     @cached_property
     def step_tables(self):
         """table[s][x][y] = one application of the stage-s action (at its
         own scale Theta_s).  Raises if a twist breaks fiber membership;
         use verify_ladder for a tolerant audit."""
-        return [memo[1] for memo in self._step_memos]
+        return [memo.table(1) for memo in self._step_memos]
 
 
 def _step_ratio(scale: int, base: int) -> int:
@@ -201,56 +194,89 @@ def _step_ratio(scale: int, base: int) -> int:
     return 1
 
 
-def _lift_stage(tower: TowerModel, stage: int, proj_step, twist, violations):
-    """One-step table of `stage` (at its own scale), given the one-step
-    table of the stage below raised to the layer's scale ratio.
+class _GroundStage:
+    """Powers of the ground's translation table, by doubling."""
 
-    An element (x, c) moves to (proj_step[x][y], c + twist[x][y]).  With
-    violations=None a twist that breaks fiber membership raises; with a
-    list, each breach is recorded and encoded tolerantly so an audit can
-    continue.
+    def __init__(self, tower: TowerModel):
+        self.full = {1: tower.add_table}
+
+    def table(self, n: int):
+        return iterated_table(self.full, n)
+
+
+class _SkewStage:
+    """Powers of the action of a stage s >= 1, in skew form.
+
+    The n-th power is (P^n, delta^n), P^n being the stage below's table at
+    ratio * n; delta^(a+b)[p][y] = delta^a[p][y] + delta^b[P^a[p][y]][y]
+    mod q.  Full tables are expanded on demand.
+    """
+
+    def __init__(self, below, ratio: int, q: int, delta):
+        self.below, self.ratio, self.q = below, ratio, q
+        self.shifts, self.full = {1: delta}, {}
+
+    def proj(self, n: int):
+        return self.below.table(self.ratio * n)
+
+    def shift(self, n: int):
+        if n not in self.shifts:
+            a = 1 if n % 2 else n // 2
+            first, second, q = self.shift(a), self.shift(n - a), self.q
+            self.shifts[n] = tuple(
+                tuple((d + second[v][y]) % q for y, (v, d) in enumerate(zip(pr, dr)))
+                for pr, dr in zip(self.proj(a), first)
+            )
+        return self.shifts[n]
+
+    def table(self, n: int):
+        if n not in self.full:
+            # the fiber over v twice over, so that each rotation is a slice
+            q, proj, rows = self.q, self.proj(n), []
+            fibers = [tuple(range(v * q, v * q + q)) * 2 for v in range(len(proj))]
+            for pr, dr in zip(proj, self.shift(n)):
+                rows += zip(*[fibers[v][d:d + q] for v, d in zip(pr, dr)])
+            self.full[n] = tuple(rows)
+        return self.full[n]
+
+    def fixes_zero(self, n: int, zero: int) -> list:
+        """Per parent p: whether the zero fixes the q points over p."""
+        rows = zip(self.proj(n), self.shift(n))
+        return [pr[zero] == p and dr[zero] == 0 for p, (pr, dr) in enumerate(rows)]
+
+
+def _lift_stage(tower: TowerModel, stage: int, proj_step, twist, violations):
+    """The size(stage - 1) x size(0) table delta of `stage` (see the module
+    docstring), given the stage below's one-step table P at the scale
+    ratio.  Acting keeps the fiber iff q divides kappa[p] + w -
+    kappa[P[p][y]], whatever t is; delta also encodes a breach.  With
+    violations=None a breach raises, else it is listed per point over p.
     """
     layer = tower.layers[stage - 1]
     q, kappa = layer.q, layer.kappa
-    qq = q * q
     rows = []
-    for idx in range(tower.size(stage)):
-        parent, t = divmod(idx, q)
-        c = kappa[parent] + q * t
-        proj_row, twist_row = proj_step[parent], twist[parent]
-        row = []
-        for y, parent2 in enumerate(proj_row):
-            off = (c + twist_row[y]) % qq - kappa[parent2]
-            if off % q:
-                if violations is None:
-                    raise ValueError(
-                        f"twist at stage {stage} breaks fiber membership "
-                        f"(x={parent}, y={y})"
-                    )
-                violations.append(("fiber", stage, idx, y))
-            row.append(parent2 * q + (off % qq) // q)
-        rows.append(tuple(row))
+    for p, (proj_row, twist_row) in enumerate(zip(proj_step, twist)):
+        shifts = [kappa[p] + w - kappa[p2] for p2, w in zip(proj_row, twist_row)]
+        bad = [y for y, v in enumerate(shifts) if v % q]
+        if bad:
+            if violations is None:
+                raise ValueError(f"twist at stage {stage} breaks fiber membership "
+                                 f"(x={p}, y={bad[0]})")
+            violations += (("fiber", stage, x, y) for x in range(p * q, p * q + q)
+                           for y in bad)
+        rows.append(tuple(v // q % q for v in shifts))
     return tuple(rows)
 
 
-def _build_step_tables(tower: TowerModel, ladder: ActionLadder, violations):
-    """Bottom-up one-step tables, re-derived from the twists alone.
-
-    Returns one power memo per stage, holding the stage's one-step table
-    under 1 and every power of it built so far, for iterated_table.
-    """
-    memos = [{1: tower.add_table}]
-    for stage in range(1, tower.depth + 1):
+def _lift_stages(tower: TowerModel, ladder: ActionLadder, violations):
+    """Bottom-up power memos of every stage, from the twists alone."""
+    stages = [_GroundStage(tower)]
+    for stage, layer in enumerate(tower.layers, 1):
         ratio = _step_ratio(ladder.thetas[stage - 1], ladder.stage_theta(stage - 1))
-        step = _lift_stage(
-            tower,
-            stage,
-            iterated_table(memos[-1], ratio),
-            ladder.twists[stage - 1],
-            violations,
-        )
-        memos.append({1: step})
-    return memos
+        proj, twist = stages[-1].table(ratio), ladder.twists[stage - 1]
+        delta = _lift_stage(tower, stage, proj, twist, violations)
+        stages.append(_SkewStage(stages[-1], ratio, layer.q, delta))
+    return stages
 
 
 def build_ladder(tower: TowerModel, min_order: int = 2) -> ActionLadder:
@@ -263,48 +289,43 @@ def build_ladder(tower: TowerModel, min_order: int = 2) -> ActionLadder:
     stores w's canonical representative in Z/q^2 (vanishing at y = 0), so
     adding it to the fiber coordinate keeps the membership constraint
     while the base point moves at the new scale Theta = theta * Theta_prev.
+    Full tables are expanded only for the powers the diagonal sums walk,
+    so never for the top stage.
     """
     ops, thetas, twists = [], [], []
-    memo = {1: tower.add_table}  # powers of the stage below's one-step table
-    for stage in range(1, tower.depth + 1):
-        layer = tower.layers[stage - 1]
+    below = _GroundStage(tower)
+    for stage, layer in enumerate(tower.layers, 1):
         op = build_diff_operator(*prime_power(layer.q), min_order)
+        walked = {n: below.table(n) for n in (1, *(stride for _, stride in op.terms))}
         columns = [
-            _diagonal_sums(op, memo, layer.kappa, y) for y in range(tower.size(0))
+            _diagonal_sums(op, walked, layer.kappa, y) for y in range(tower.size(0))
         ]
         twist = tuple(tuple(w % layer.q for w in row) for row in zip(*columns))
         ops.append(op)
         thetas.append(op.theta * (thetas[-1] if thetas else 1))
         twists.append(twist)
-        step = _lift_stage(
-            tower, stage, iterated_table(memo, op.theta), twist, violations=None
-        )
-        memo = {1: step}
+        delta = _lift_stage(tower, stage, below.table(op.theta), twist, violations=None)
+        below = _SkewStage(below, op.theta, layer.q, delta)
     return ActionLadder(
         tower=tower, ops=tuple(ops), thetas=tuple(thetas), twists=tuple(twists)
     )
 
 
 def stage_act(
-    tower: TowerModel,
-    ladder: ActionLadder,
-    stage: int,
-    x: int,
-    y: int,
-    at_theta: int,
+    tower: TowerModel, ladder: ActionLadder, stage: int, x: int, y: int, at_theta: int
 ) -> int:
     """Act with ground element y on stage point x, at scale at_theta.
 
     at_theta must be a positive multiple of the stage's own scale; the
     action is the one-step action iterated at_theta / Theta_stage times,
-    by doubling on the ladder's per-stage power memo.
+    read from the ladder's per-stage power memo.
     """
     base = ladder.stage_theta(stage)
     if at_theta < 1 or at_theta % base:
         raise ValueError(
             f"scale {at_theta} is not a positive multiple of stage scale {base}"
         )
-    return iterated_table(ladder._step_memos[stage], at_theta // base)[x][y]
+    return ladder._step_memos[stage].table(at_theta // base)[x][y]
 
 
 def enumerate_lifts(tower: TowerModel, labels, assignment, stage: int):
@@ -335,64 +356,42 @@ def verify_ladder(tower: TowerModel, ladder: ActionLadder) -> AuditReport:
     fixes every point at the stage scale and at the common scale; and
     projecting commutes with acting at both scales.  Violations are
     reported, never raised, so corrupted ladders can be audited.
+
+    In skew form the fiber and right-zero checks are decided per parent
+    and reported per point; common-scale equivariance compares P-parts,
+    where a broken scale chain shows.  The ground's right zero and
+    stage-scale equivariance hold by construction and are still counted.
     """
     violations = []
-    checks = 0
-
-    prev = 1
-    for i, th in enumerate(ladder.thetas):
-        checks += 1
+    thetas, theta, zero = ladder.thetas, ladder.common_theta, tower.ground_zero
+    checks = 2 * len(thetas) + sum(tower.sizes[:-1]) + 2 * tower.size(0)
+    for i, (prev, th) in enumerate(zip((1, *thetas), thetas), 1):
         if th % prev:
-            violations.append(("divisibility", i + 1, th, prev))
-        prev = th
-    theta = ladder.common_theta
-    for i, th in enumerate(ladder.thetas):
-        checks += 1
+            violations.append(("divisibility", i, th, prev))
+    for i, th in enumerate(thetas, 1):
         if theta % th:
-            violations.append(("divides_common", i + 1, th, theta))
-
-    zero = tower.ground_zero
+            violations.append(("divides_common", i, th, theta))
     for stage in range(1, tower.depth + 1):
-        twist = ladder.twists[stage - 1]
-        for x in range(tower.size(stage - 1)):
-            checks += 1
-            if twist[x][zero] != 0:
-                violations.append(("twist_at_zero", stage, x))
+        violations += (("twist_at_zero", stage, x) for x in range(tower.size(stage - 1))
+                       if ladder.twists[stage - 1][x][zero] != 0)
 
-    memos = _build_step_tables(tower, ladder, violations)
-    checks += sum(
-        tower.size(s) * tower.size(0) for s in range(1, tower.depth + 1)
-    )
-
-    at_common = [
-        iterated_table(memos[s], _step_ratio(theta, ladder.stage_theta(s)))
-        for s in range(tower.depth + 1)
-    ]
-
-    for stage in range(tower.depth + 1):
-        one = memos[stage][1]
-        full = at_common[stage]
-        for x in range(tower.size(stage)):
-            checks += 2
-            if one[x][zero] != x:
+    stages = _lift_stages(tower, ladder, violations)
+    for stage, (below, memo) in enumerate(zip(stages, stages[1:]), 1):
+        size, q = tower.size(stage), memo.q
+        n = _step_ratio(theta, ladder.stage_theta(stage))
+        one, full = memo.fixes_zero(1, zero), memo.fixes_zero(n, zero)
+        for x in range(size):
+            if not one[x // q]:
                 violations.append(("right_zero", stage, x))
-            if full[x][zero] != x:
+            if not full[x // q]:
                 violations.append(("right_zero_common", stage, x))
-        if stage == 0:
-            continue
-        q = tower.layers[stage - 1].q
-        proj_step = iterated_table(
-            memos[stage - 1],
-            _step_ratio(ladder.stage_theta(stage), ladder.stage_theta(stage - 1)),
-        )
-        for x in range(tower.size(stage)):
-            for y in range(tower.size(0)):
-                checks += 2
-                if one[x][y] // q != proj_step[x // q][y]:
-                    violations.append(("equivariance", stage, x, y))
-                if full[x][y] // q != at_common[stage - 1][x // q][y]:
-                    violations.append(("equivariance_common", stage, x, y))
-
+        # right zero, fiber, stage-scale and common-scale equivariance
+        checks += 2 * size + 3 * size * tower.size(0)
+        want = below.table(_step_ratio(theta, ladder.stage_theta(stage - 1)))
+        for p, (row, want_row) in enumerate(zip(memo.proj(n), want)):
+            ys = [y for y, (a, b) in enumerate(zip(row, want_row)) if a != b]
+            violations += (("equivariance_common", stage, x, y)
+                           for x in range(p * q, p * q + q) for y in ys)
     return AuditReport(checks=checks, violations=tuple(violations))
 
 

@@ -687,3 +687,25 @@ class TestGeneratorParity:
             digest.update((got if isinstance(got, str) else canonical_json(got)).encode())
         assert 0 < refused < len(self.CALLS) // 2
         assert digest.hexdigest()[:16] == "156d62255e2a5f6e"
+
+
+class TestThetaDivisors:
+    """The divisors of theta come from its factorization, not from a loop
+    up to theta, so the draws and the instances stay as they were."""
+
+    def test_matches_divisor_loop_reference(self):
+        # the boxed reference still lists divisors with range(2, theta + 1)
+        for theta in range(2, 65):
+            for seed in range(4):
+                assert _dumped(generate_instance, seed, theta=theta) == _dumped(
+                    boxed_generate_instance, seed, theta=theta
+                ), (theta, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_huge_theta_bounded(self, seed):
+        started = time.perf_counter()
+        try:
+            generate_instance(seed, theta=10**12)
+        except ValueError as exc:
+            assert "classes, bound is" in str(exc)
+        assert time.perf_counter() - started < 2.0
